@@ -53,7 +53,8 @@ int main() {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     service::PlacementService svc(
         {.threads = threads, .cache_capacity = requests.size()});
-    const service::BatchReport cold = service::RunBatch(svc, requests);
+    const service::BatchReport cold =
+        service::RunBatch(svc, requests, service::BatchMode::kPerRequest);
     if (threads == 1) base_jobs_per_second = cold.jobs_per_second;
     std::printf("%-8zu %12.2f %12.2f %9.2fx\n", threads, cold.wall_seconds,
                 cold.jobs_per_second,
@@ -62,7 +63,8 @@ int main() {
                     : 1.0);
     if (threads == 8) {
       cold_wall = cold.wall_seconds;
-      const service::BatchReport warm = service::RunBatch(svc, requests);
+      const service::BatchReport warm =
+          service::RunBatch(svc, requests, service::BatchMode::kPerRequest);
       const service::ServiceStats stats = svc.Stats();
       std::printf("\nwarm repeat (8 threads): %.4fs  (%.0f jobs/s)  "
                   "cache-hit speedup %.0fx\n",

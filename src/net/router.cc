@@ -570,13 +570,14 @@ void ShardRouter::Stop() {
   if (im.stopped) return;
   im.stopped = true;
   im.stopping.store(true, std::memory_order_relaxed);
-  if (im.listen_fd >= 0) {
-    // Nudge the accept poll by closing the fd it watches.
-    const int fd = im.listen_fd;
-    im.listen_fd = -1;
-    CloseFd(fd);
-  }
+  // Nudge the accept poll with shutdown(); listen_fd itself may change
+  // only once the accept thread, which reads it, has been joined.
+  if (im.listen_fd >= 0) ::shutdown(im.listen_fd, SHUT_RDWR);
   if (im.accept_thread.joinable()) im.accept_thread.join();
+  if (im.listen_fd >= 0) {
+    CloseFd(im.listen_fd);
+    im.listen_fd = -1;
+  }
   {
     // Force forwarder reads to return so handler jobs drain.
     std::lock_guard<std::mutex> lock(im.mu);

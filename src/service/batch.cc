@@ -109,9 +109,6 @@ BatchReport RunBatch(PlacementService& service,
     case BatchMode::kFused:
       tickets = service.SubmitFused(requests);
       break;
-    case BatchMode::kIncremental:
-      tickets = service.SubmitIncremental(requests);
-      break;
     case BatchMode::kPerRequest:
       for (const auto& req : requests) {
         tickets.push_back(service.Submit(req));
@@ -129,13 +126,6 @@ BatchReport RunBatch(PlacementService& service,
         static_cast<double>(requests.size()) / report.wall_seconds;
   }
   return report;
-}
-
-BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     bool fused) {
-  return RunBatch(service, requests,
-                  fused ? BatchMode::kFused : BatchMode::kPerRequest);
 }
 
 }  // namespace merch::service

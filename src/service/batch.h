@@ -41,22 +41,16 @@ struct BatchReport {
 };
 
 /// How RunBatch pushes requests into the service. Results are
-/// bit-identical across all three; the modes only change how much work
-/// is shared between requests.
+/// bit-identical across both; the modes only change how much work is
+/// shared between requests.
 enum class BatchMode {
-  kPerRequest,   // one Submit() per request
-  kFused,        // SubmitFused: one app build + analysis per group
-  kIncremental,  // SubmitIncremental: fused + cross-point delta simulation
+  kPerRequest,  // one Submit() per request
+  kFused,       // SubmitFused: one app build + analysis per group
 };
 
 /// Submit every request, wait for all futures, measure wall-clock.
 BatchReport RunBatch(PlacementService& service,
                      const std::vector<PlacementRequest>& requests,
                      BatchMode mode);
-
-/// Back-compat shim: `fused` picks kFused over kPerRequest.
-BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     bool fused = false);
 
 }  // namespace merch::service

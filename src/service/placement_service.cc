@@ -15,11 +15,9 @@
 #include "baselines/memory_optimizer.h"
 #include "baselines/pm_only.h"
 #include "baselines/static_priority.h"
-#include "common/env.h"
 #include "obs/distributed/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/incremental.h"
 #include "sim/policy.h"
 #include "workloads/training.h"
 
@@ -51,29 +49,10 @@ std::string FuseKey(const PlacementRequest& req) {
   return buf;
 }
 
-// Defined next to RunPrepared below; RunIncrementalJob shares it.
-std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
-    const PlacementService::PreparedApp& prepared, const PlacementRequest& req,
-    const core::MerchandiserSystem* system,
-    core::GreedyResultCache* greedy_cache, std::string* error);
-
 }  // namespace
 
 std::vector<PlacementService::Ticket> PlacementService::SubmitFused(
     std::vector<PlacementRequest> requests) {
-  return SubmitGrouped(std::move(requests), /*incremental=*/false);
-}
-
-std::vector<PlacementService::Ticket> PlacementService::SubmitIncremental(
-    std::vector<PlacementRequest> requests) {
-  // Escape hatch: MERCH_CKPT=0 restores the plain fused path (shared app
-  // build, one standalone engine per member).
-  const bool delta = common::EnvToggle("MERCH_CKPT", true);
-  return SubmitGrouped(std::move(requests), /*incremental=*/delta);
-}
-
-std::vector<PlacementService::Ticket> PlacementService::SubmitGrouped(
-    std::vector<PlacementRequest> requests, bool incremental) {
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());
   // Group insertion order is submission order, so job dispatch below stays
@@ -147,22 +126,14 @@ std::vector<PlacementService::Ticket> PlacementService::SubmitGrouped(
         std::make_shared<std::vector<FusedMember>>(std::move(groups[fuse]));
     if (members->size() > 1) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (incremental) {
-        ++incremental_groups_;
-      } else {
-        ++fused_groups_;
-      }
+      ++fused_groups_;
     }
     // The submitter's trace context rides to the worker thread, so the
     // fused-group span lands in the caller's distributed trace.
     const bool accepted = pool_.Submit(
-        [this, members, incremental, ctx = obs::CurrentTraceContext()] {
+        [this, members, ctx = obs::CurrentTraceContext()] {
           obs::TraceContextScope scope(ctx);
-          if (incremental) {
-            RunIncrementalJob(std::move(*members));
-          } else {
-            RunFusedJob(std::move(*members));
-          }
+          RunFusedJob(std::move(*members));
         });
     if (!accepted) {  // shutting down: fail the members instead of hanging
       for (FusedMember& m : *members) {
@@ -327,105 +298,6 @@ void PlacementService::RunFusedJob(std::vector<FusedMember> members) {
   }
 }
 
-void PlacementService::RunIncrementalJob(std::vector<FusedMember> members) {
-  MERCH_TRACE_SPAN_VAR(group_span, obs::Category::kService,
-                       "service.incremental_group");
-  if (members.empty()) return;
-  const auto t0 = std::chrono::steady_clock::now();
-  const PreparedApp prepared = PrepareApp(members.front().req);
-
-  // Build every member's policy up front. Members this app cannot satisfy
-  // (prepare failure, undefined sparta/warpx-pm priority, unknown policy)
-  // finish immediately with the same error the per-request path produces;
-  // the rest share one fork-tree ladder per cache mode inside
-  // RunIncrementalSweep.
-  struct Live {
-    FusedMember* member = nullptr;
-    std::shared_ptr<const core::MerchandiserSystem> system;  // keepalive:
-    // merch policies reference correlation functions the system owns
-    std::unique_ptr<sim::PlacementPolicy> policy;
-  };
-  std::vector<Live> live;
-  live.reserve(members.size());
-  for (FusedMember& m : members) {
-    PlacementResult out;
-    out.request = m.req;
-    if (!prepared.error.empty()) {
-      out.error = prepared.error;
-      FinishJob(m.key, std::move(out), m.promise);
-      continue;
-    }
-    Live entry;
-    entry.member = &m;
-    if (m.req.policy == "merch") {
-      entry.system = TrainedSystem(m.req.train_regions);
-    }
-    try {
-      entry.policy = MakeRequestPolicy(prepared, m.req, entry.system.get(),
-                                       &greedy_cache_, &out.error);
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    }
-    if (entry.policy == nullptr) {
-      FinishJob(m.key, std::move(out), m.promise);
-      continue;
-    }
-    live.push_back(std::move(entry));
-  }
-
-  if (!live.empty()) {
-    // Every member shares one FuseKey, hence one machine spec — the
-    // single-ladder precondition (sim/incremental.h) holds by construction.
-    std::vector<sim::SweepPointSpec> specs;
-    specs.reserve(live.size());
-    for (const Live& entry : live) {
-      specs.push_back(
-          sim::SweepPointSpec{prepared.machine, entry.policy.get()});
-    }
-    try {
-      const std::vector<sim::SweepPointOutcome> outcomes =
-          sim::RunIncrementalSweep(prepared.bundle.workload, prepared.cfg,
-                                   specs);
-      const auto& objects = prepared.bundle.workload.objects;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const sim::SweepPointOutcome& o = outcomes[i];
-        const FusedMember& m = *live[i].member;
-        PlacementResult out;
-        out.request = m.req;
-        out.makespan_seconds = o.result.total_seconds;
-        out.task_cov = o.result.AverageCoV();
-        out.migrated_bytes = static_cast<std::uint64_t>(
-            o.result.migration.bytes_to_dram + o.result.migration.bytes_to_pm);
-        out.regions = o.result.regions.size();
-        out.placements.reserve(objects.size());
-        for (std::size_t j = 0; j < objects.size(); ++j) {
-          out.placements.push_back(
-              {objects[j].name, objects[j].bytes, o.final_dram_fraction[j]});
-        }
-        FinishJob(m.key, std::move(out), m.promise);
-      }
-    } catch (const std::exception& e) {
-      for (const Live& entry : live) {
-        PlacementResult out;
-        out.request = entry.member->req;
-        out.error = e.what();
-        FinishJob(entry.member->key, std::move(out), entry.member->promise);
-      }
-    }
-  }
-
-  // One engine drove the whole ladder, so per-member wall time has no
-  // direct meaning; attribute the amortized share to each member to keep
-  // the histogram comparable with the per-request and fused paths.
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds",
-                                seconds / static_cast<double>(members.size()));
-  }
-}
-
 void PlacementService::FinishJob(
     const std::string& key, PlacementResult result,
     const std::shared_ptr<std::promise<PlacementResult>>& promise) {
@@ -462,7 +334,6 @@ ServiceStats PlacementService::Stats() const {
     s.simulated = simulated_;
     s.failed = failed_;
     s.fused_groups = fused_groups_;
-    s.incremental_groups = incremental_groups_;
   }
   s.greedy_hits = greedy_cache_.hits();
   s.greedy_misses = greedy_cache_.misses();
@@ -558,11 +429,10 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
 
 namespace {
 
-/// The policy switch shared by RunPrepared and RunIncrementalJob: builds
-/// the engine policy a request names, or returns null with `*error` set
-/// for policies the app does not define (messages unchanged from the
-/// original per-request path). May throw; callers keep their try/catch so
-/// construction failures land in the result either way.
+/// The policy switch behind RunPrepared: builds the engine policy a
+/// request names, or returns null with `*error` set for policies the app
+/// does not define. May throw; RunPrepared's try/catch lands construction
+/// failures in the result.
 std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
     const PlacementService::PreparedApp& prepared, const PlacementRequest& req,
     const core::MerchandiserSystem* system,

@@ -50,9 +50,6 @@ struct ServiceStats {
   std::uint64_t failed = 0;      // jobs whose result carries an error
   /// SubmitFused groups that shared one app build across >= 2 members.
   std::uint64_t fused_groups = 0;
-  /// SubmitIncremental ladders that delta-simulated >= 2 members on a
-  /// shared engine (see sim/incremental.h).
-  std::uint64_t incremental_groups = 0;
   /// Shared greedy warm-start cache (see GreedyResultCache): instance
   /// decisions replayed from / inserted into the cross-job memo.
   std::uint64_t greedy_hits = 0;
@@ -98,15 +95,6 @@ class PlacementService {
   /// and lint passes are elided. Sweep drivers (merchctl sweep --fused)
   /// use this to amortize setup across the policy axis of a sweep.
   std::vector<Ticket> SubmitFused(std::vector<PlacementRequest> requests);
-
-  /// SubmitFused plus cross-point delta simulation: each fused group's
-  /// members run through sim::RunIncrementalSweep, which drives ONE engine
-  /// per ladder and forks a member onto a checkpoint-restored engine only
-  /// when its policy's decisions diverge from the shared trajectory.
-  /// Results are byte-identical to SubmitFused and to individual
-  /// Submit()s. The MERCH_CKPT environment toggle ("0"/"off"/"false")
-  /// disables the delta path and falls back to SubmitFused exactly.
-  std::vector<Ticket> SubmitIncremental(std::vector<PlacementRequest> requests);
 
   /// Completion callback: invoked exactly once per SubmitAsync, with the
   /// finished result. Runs on the worker thread that completed the job —
@@ -199,17 +187,6 @@ class PlacementService {
   /// every member against the shared instance.
   void RunFusedJob(std::vector<FusedMember> members);
 
-  /// Pool job for one incremental group: PrepareApp once, then delta-
-  /// simulate every member's engine run through the fork-tree sweep
-  /// driver. Bit-identical to RunFusedJob.
-  void RunIncrementalJob(std::vector<FusedMember> members);
-
-  /// Shared front-end of SubmitFused/SubmitIncremental: canonicalize,
-  /// serve cache hits, coalesce, group the rest by application instance,
-  /// and dispatch one pool job per group.
-  std::vector<Ticket> SubmitGrouped(std::vector<PlacementRequest> requests,
-                                    bool incremental);
-
   /// Publish one finished job result: cache insert, in-flight retirement,
   /// stats, promise resolution, queued callbacks. Shared by RunJob and
   /// RunFusedJob.
@@ -235,7 +212,6 @@ class PlacementService {
   std::uint64_t simulated_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t fused_groups_ = 0;
-  std::uint64_t incremental_groups_ = 0;
 
   std::mutex train_mu_;  // serializes training; guards systems_
   std::map<std::size_t, std::shared_ptr<const core::MerchandiserSystem>>

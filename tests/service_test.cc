@@ -4,7 +4,7 @@
 // return bit-identical results whether it simulates on 1 thread or 8).
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -194,6 +194,22 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
   bad_scale.scale = 0;
   EXPECT_NE(CanonicalizeRequest(bad_scale), "");
 
+  // Non-finite scale/work are rejected, not simulated as an empty app.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, -inf, nan}) {
+    PlacementRequest scale = TinyRequest("SpGEMM", "pm");
+    scale.scale = v;
+    EXPECT_NE(CanonicalizeRequest(scale).find("scale must be finite"),
+              std::string::npos)
+        << v;
+    PlacementRequest work = TinyRequest("SpGEMM", "pm");
+    work.work = v;
+    EXPECT_NE(CanonicalizeRequest(work).find("work must be finite"),
+              std::string::npos)
+        << v;
+  }
+
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
@@ -284,8 +300,8 @@ TEST(PlacementService, ResultsAreBitIdenticalAcrossPoolWidths) {
 
   PlacementService narrow({.threads = 1});
   PlacementService wide({.threads = 8});
-  const BatchReport a = RunBatch(narrow, requests);
-  const BatchReport b = RunBatch(wide, requests);
+  const BatchReport a = RunBatch(narrow, requests, BatchMode::kPerRequest);
+  const BatchReport b = RunBatch(wide, requests, BatchMode::kPerRequest);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -308,107 +324,49 @@ TEST(PlacementService, ResultsAreBitIdenticalAcrossPoolWidths) {
 }
 
 TEST(PlacementService, SubmitFusedMatchesPerRequestSubmissionBitwise) {
-  // Three policies over one SpGEMM instance share a fused group (one app
-  // build), BFS rides alone, a duplicate coalesces, and a bad request
-  // fails — all in one batch, answers indexed like the input.
+  // All five policies over one SpGEMM instance share a fused group (one
+  // app build), BFS rides alone, a duplicate coalesces, and a bad request
+  // fails — all in one batch, answers indexed like the input. Every
+  // answer, placements included, must be bit-identical to a plain Submit.
   std::vector<PlacementRequest> requests = {
-      TinyRequest("SpGEMM", "pm", 7),  TinyRequest("SpGEMM", "mm", 7),
-      TinyRequest("SpGEMM", "mo", 7),  TinyRequest("BFS", "mo", 7),
-      TinyRequest("SpGEMM", "pm", 7),  TinyRequest("NoSuchApp", "pm", 7)};
+      TinyRequest("SpGEMM", "pm", 7),     TinyRequest("SpGEMM", "mm", 7),
+      TinyRequest("SpGEMM", "mo", 7),     TinyRequest("SpGEMM", "sparta", 7),
+      TinyRequest("SpGEMM", "merch", 7),  TinyRequest("BFS", "mo", 7),
+      TinyRequest("SpGEMM", "pm", 7),     TinyRequest("NoSuchApp", "pm", 7)};
 
   PlacementService fused_svc({.threads = 2});
   auto tickets = fused_svc.SubmitFused(requests);
   ASSERT_EQ(tickets.size(), requests.size());
-  EXPECT_TRUE(tickets[4].coalesced);  // duplicate of requests[0]
+  EXPECT_TRUE(tickets[6].coalesced);  // duplicate of requests[0]
 
   PlacementService plain_svc({.threads = 2});
   for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
     const PlacementResult f = tickets[i].future.get();
     const PlacementResult p = plain_svc.Submit(requests[i]).future.get();
     ASSERT_TRUE(f.ok()) << f.error;
+    ASSERT_TRUE(p.ok()) << p.error;
     EXPECT_EQ(f.makespan_seconds, p.makespan_seconds) << i;
     EXPECT_EQ(f.task_cov, p.task_cov) << i;
     EXPECT_EQ(f.migrated_bytes, p.migrated_bytes) << i;
+    EXPECT_EQ(f.regions, p.regions) << i;
+    ASSERT_EQ(f.placements.size(), p.placements.size()) << i;
+    for (std::size_t j = 0; j < f.placements.size(); ++j) {
+      EXPECT_EQ(f.placements[j].object, p.placements[j].object);
+      EXPECT_EQ(f.placements[j].bytes, p.placements[j].bytes);
+      EXPECT_EQ(f.placements[j].dram_fraction, p.placements[j].dram_fraction);
+    }
   }
   const PlacementResult bad = tickets.back().future.get();
   EXPECT_FALSE(bad.ok());
   EXPECT_NE(bad.error.find("unknown application"), std::string::npos);
 
   const ServiceStats stats = fused_svc.Stats();
-  EXPECT_GE(stats.fused_groups, 1u);  // the three-policy SpGEMM group
+  EXPECT_EQ(stats.fused_groups, 1u);  // the five-policy SpGEMM group
   EXPECT_EQ(stats.failed, 1u);
 
   // Completed fused answers land in the same cache as Submit's.
   auto cached = fused_svc.Submit(requests[0]);
   EXPECT_TRUE(cached.cache_hit);
-}
-
-TEST(PlacementService, SubmitIncrementalMatchesPerRequestSubmissionBitwise) {
-  // A five-policy sweep over one SpGEMM instance: the incremental path
-  // drives one shared engine and forks on divergence, yet every answer —
-  // placements included — must be bit-identical to a plain Submit().
-  std::vector<PlacementRequest> requests = {
-      TinyRequest("SpGEMM", "pm", 11),     TinyRequest("SpGEMM", "mm", 11),
-      TinyRequest("SpGEMM", "mo", 11),     TinyRequest("SpGEMM", "sparta", 11),
-      TinyRequest("SpGEMM", "merch", 11)};
-
-  PlacementService inc_svc({.threads = 2});
-  auto tickets = inc_svc.SubmitIncremental(requests);
-  ASSERT_EQ(tickets.size(), requests.size());
-
-  PlacementService plain_svc({.threads = 2});
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const PlacementResult a = tickets[i].future.get();
-    const PlacementResult b = plain_svc.Submit(requests[i]).future.get();
-    ASSERT_TRUE(a.ok()) << a.error;
-    ASSERT_TRUE(b.ok()) << b.error;
-    EXPECT_EQ(a.makespan_seconds, b.makespan_seconds) << i;
-    EXPECT_EQ(a.task_cov, b.task_cov) << i;
-    EXPECT_EQ(a.migrated_bytes, b.migrated_bytes) << i;
-    EXPECT_EQ(a.regions, b.regions) << i;
-    ASSERT_EQ(a.placements.size(), b.placements.size());
-    for (std::size_t j = 0; j < a.placements.size(); ++j) {
-      EXPECT_EQ(a.placements[j].object, b.placements[j].object);
-      EXPECT_EQ(a.placements[j].bytes, b.placements[j].bytes);
-      EXPECT_EQ(a.placements[j].dram_fraction, b.placements[j].dram_fraction);
-    }
-  }
-
-  const ServiceStats stats = inc_svc.Stats();
-  EXPECT_EQ(stats.incremental_groups, 1u);  // the five-policy ladder
-  EXPECT_EQ(stats.fused_groups, 0u);
-
-  // Completed incremental answers land in the shared result cache.
-  auto cached = inc_svc.Submit(requests[0]);
-  EXPECT_TRUE(cached.cache_hit);
-}
-
-TEST(PlacementService, IncrementalBatchModeAndCkptHatch) {
-  const std::vector<PlacementRequest> requests = {
-      TinyRequest("BFS", "pm", 13), TinyRequest("BFS", "mo", 13),
-      TinyRequest("BFS", "merch", 13)};
-
-  PlacementService inc({.threads = 1});
-  const BatchReport a = RunBatch(inc, requests, BatchMode::kIncremental);
-  EXPECT_EQ(inc.Stats().incremental_groups, 1u);
-
-  // MERCH_CKPT=0 must fall back to the plain fused path.
-  ASSERT_EQ(setenv("MERCH_CKPT", "0", 1), 0);
-  PlacementService fused({.threads = 1});
-  const BatchReport b = RunBatch(fused, requests, BatchMode::kIncremental);
-  ASSERT_EQ(unsetenv("MERCH_CKPT"), 0);
-  const ServiceStats fs = fused.Stats();
-  EXPECT_EQ(fs.incremental_groups, 0u);
-  EXPECT_EQ(fs.fused_groups, 1u);
-
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    ASSERT_TRUE(a.results[i].ok()) << a.results[i].error;
-    ASSERT_TRUE(b.results[i].ok()) << b.results[i].error;
-    EXPECT_EQ(a.results[i].makespan_seconds, b.results[i].makespan_seconds);
-    EXPECT_EQ(a.results[i].task_cov, b.results[i].task_cov);
-    EXPECT_EQ(a.results[i].migrated_bytes, b.results[i].migrated_bytes);
-  }
 }
 
 TEST(PlacementService, SeedIsPartOfTheRequestIdentity) {

@@ -82,11 +82,6 @@ struct Options {
   /// analysis pass) per shared application instance. Off by default; the
   /// per-request results are bit-identical either way.
   bool fused = false;
-  /// Route the sweep through SubmitIncremental: fused grouping plus
-  /// cross-point delta simulation (one engine per ladder, checkpoint forks
-  /// on divergence; see sim/incremental.h). Bit-identical answers; the
-  /// MERCH_CKPT=0 environment hatch falls back to the fused path.
-  bool incremental = false;
   // analyze-only
   std::string kir_file;
   bool json = false;
@@ -117,8 +112,6 @@ int Usage() {
                "[--file requests.txt] [--placements]\n"
                "                      [--fused]   # one job per shared app "
                "instance\n"
-               "                      [--incremental]   # fused + cross-point "
-               "delta simulation (MERCH_CKPT=0 disables)\n"
                "       merchctl analyze <file.kir> [--json]\n"
                "       merchctl analyze <file.kir> --dag [--json|--dot]\n"
                "       merchctl remote --port P [--host H] [--app A] "
@@ -321,10 +314,9 @@ int SweepCommand(const Options& opt) {
       {.threads = opt.threads, .cache_capacity = opt.cache});
   int failures = 0;
   for (std::size_t pass = 0; pass < opt.repeat; ++pass) {
-    const service::BatchMode mode =
-        opt.incremental ? service::BatchMode::kIncremental
-        : opt.fused     ? service::BatchMode::kFused
-                        : service::BatchMode::kPerRequest;
+    const service::BatchMode mode = opt.fused
+                                        ? service::BatchMode::kFused
+                                        : service::BatchMode::kPerRequest;
     const service::BatchReport report = service::RunBatch(svc, requests, mode);
     if (pass == 0) {
       for (std::size_t i = 0; i < report.results.size(); ++i) {
@@ -589,8 +581,6 @@ int main(int argc, char** argv) {
       opt.show_placements = true;
     } else if (arg == "--fused") {
       opt.fused = true;
-    } else if (arg == "--incremental") {
-      opt.incremental = true;
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {

@@ -266,7 +266,8 @@ int BatchMode(const Options& opt, MetricsWriter* metrics_writer) {
 
   int failures = 0;
   for (std::size_t pass = 0; pass < opt.repeat; ++pass) {
-    const service::BatchReport report = service::RunBatch(svc, requests);
+    const service::BatchReport report =
+        service::RunBatch(svc, requests, service::BatchMode::kPerRequest);
     std::size_t pass_hits = 0;
     for (std::size_t i = 0; i < report.results.size(); ++i) {
       const auto& r = report.results[i];
