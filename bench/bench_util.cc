@@ -17,6 +17,13 @@ RepeatTiming MeasureRepeated(int repeats,
   samples.reserve(static_cast<std::size_t>(repeats));
   for (int i = 0; i < repeats; ++i) samples.push_back(sample());
   std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double h = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(h);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] +
+           (h - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
   RepeatTiming t;
   t.repeats = repeats;
   t.min_seconds = samples.front();
@@ -24,6 +31,7 @@ RepeatTiming MeasureRepeated(int repeats,
   t.median_seconds = samples.size() % 2 == 1
                          ? samples[mid]
                          : 0.5 * (samples[mid - 1] + samples[mid]);
+  t.iqr_seconds = quantile(0.75) - quantile(0.25);
   return t;
 }
 

@@ -18,12 +18,12 @@
 namespace merch::bench {
 
 /// Summary of N repeats of one timed measurement (--repeat N in the speed
-/// benches). The min is the tracked number — least scheduling noise on a
-/// deterministic workload; the median is reported alongside as a sanity
-/// check on run-to-run spread.
+/// benches): min, median and the interquartile range (Q3 - Q1, linearly
+/// interpolated quantiles) as the run-to-run spread.
 struct RepeatTiming {
   double min_seconds = 0;
   double median_seconds = 0;
+  double iqr_seconds = 0;
   int repeats = 0;
 };
 

@@ -1,38 +1,26 @@
-// Engine hot-path benchmark: measures what the residency index, timing-base
-// memoization, SIMD cost kernels, and parallel epoch arbitration buy on
-// real runs.
+// Engine hot-path benchmark: wall clock and hot-path counters of the
+// simulation engine on real runs.
 //
-// Each run executes in several engine variants:
-//   legacy    — sweep_index=false, timing_memo=false: the pre-index
-//               engine's cost profile (full TimeKernel per task per
-//               fixed-point iteration; linear page/extent scans for
-//               page->object lookup, MoveHottest, and EvictColdest;
-//               strided PageEntry tier loads). SIMD lanes are forced off
-//               on this path by the engine's resolution rule.
-//   scalar    — index + memo on, SIMD lanes off, one arbitration thread:
-//               isolates the algorithmic wins from vectorization.
-//   simd      — scalar plus the SIMD lane kernels (MERCH_SIMD default).
-//   parallel  — simd plus timing_threads = --threads N: the full engine,
-//               and the headline "optimized" configuration.
-// Results are bit-identical across every variant (the bench exits 1 on any
-// sim_seconds divergence; tests/engine_equiv_test.cc proves the same over a
-// randomized matrix); only the wall clock and hot-path counters differ.
+//   1. The tracked sweep: Engine::Run of the five paper applications under
+//      all four policies {pm-only, MemoryMode, MemoryOptimizer,
+//      Merchandiser} at full scale. Every row is repeated (--repeat N,
+//      default 5) and reports the min, median and interquartile range of
+//      its wall clock; the bench exits 1 if the repetitions of a row ever
+//      disagree on the simulated makespan.
+//   2. The same sweep at a second (quarter) scale.
+//   3. A PlacementService batch (five apps x {pm, mm, mo}) submitted one
+//      request per pool job, and the same batch through SubmitFused (one
+//      pool job per shared-app group), each repeated like the rows.
 //
-//   1. The tracked number: a fig4-style sweep — Engine::Run of the five
-//      paper applications under all four policies {pm-only, MemoryMode,
-//      MemoryOptimizer, Merchandiser} at full scale, legacy vs the full
-//      optimized engine.
-//   2. The same sweep at a second (quarter) scale (legacy + optimized
-//      only; the variant curves are measured at the tracked scale).
-//   3. A PlacementService batch (five apps x {pm, mm, mo}) with the
-//      legacy pass driven through the MERCH_SWEEP_INDEX /
-//      MERCH_ENGINE_MEMO escape hatches, end-to-end through the service,
-//      plus the same batch submitted through SubmitFused (one pool job
-//      per shared-app group).
+// The gated aggregate, five_app_sweep_memo_speedup, is
+// sum(timing_evals) / (sum(base_builds) + sum(partial_refreshes)) over the
+// tracked sweep: how many timing evaluations each memoized base build or
+// refresh serves. It counts work rather than time, so it is deterministic
+// and bench_diff's 10% gate on it cannot flake; wall clocks are reported
+// for trajectory, not gated.
 //
 // Writes BENCH_engine.json (override with --out <path>); --quick shrinks
-// scales for CI smoke runs; --threads N sets the parallel variant's
-// arbitration workers (default 4); --repeat N takes min wall clock.
+// scales for CI smoke runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -56,33 +44,21 @@
 namespace merch {
 namespace {
 
-const std::vector<std::string>& Policies() {
-  static const std::vector<std::string> kPolicies = {"pm", "mm", "mo",
-                                                     "merch"};
-  return kPolicies;
-}
-
-/// One engine configuration under measurement.
-struct Variant {
-  const char* name;
-  bool indexed;        // sweep_index + timing_memo
-  bool simd;           // SIMD lane kernels (only meaningful when indexed)
-  std::size_t threads; // arbitration workers
-};
-
 struct RunRow {
   std::string app;
   std::string policy;
   double scale = 1.0;
-  std::string variant;
-  double wall_seconds = 0;         // min over --repeat runs
-  double wall_median_seconds = 0;  // median over --repeat runs
-  double sim_seconds = 0;  // simulated makespan (must match across variants)
+  bench::RepeatTiming wall;
+  double sim_seconds = 0;  // simulated makespan (identical every repetition)
   std::uint64_t epochs = 0;
-  double epochs_per_sec = 0;
   std::uint64_t timing_evals = 0;
   std::uint64_t base_builds = 0;
   std::uint64_t partial_refreshes = 0;
+
+  double MemoSpeedup() const {
+    const double builds = static_cast<double>(base_builds + partial_refreshes);
+    return builds > 0 ? static_cast<double>(timing_evals) / builds : 0;
+  }
 };
 
 double Now() {
@@ -104,9 +80,10 @@ const core::MerchandiserSystem& TrainedSystem(bool quick) {
   return *kSystem;
 }
 
-RunRow TimeEngineRun(const std::string& app, const std::string& policy,
-                     double scale, double work, const Variant& v,
-                     bool quick) {
+/// One timed Engine::Run; fills every field of `row` but the wall timing
+/// and returns the wall seconds.
+double TimeEngineRun(const std::string& app, const std::string& policy,
+                     double scale, double work, bool quick, RunRow* row) {
   service::PlacementRequest req;
   req.app = app;
   req.scale = scale;
@@ -114,11 +91,7 @@ RunRow TimeEngineRun(const std::string& app, const std::string& policy,
   const apps::AppBundle bundle = apps::BuildApp(app, scale, work);
   const sim::MachineSpec machine =
       service::PlacementService::RequestMachine(req);
-  sim::SimConfig cfg = service::PlacementService::RequestSimConfig(req);
-  cfg.sweep_index = v.indexed;
-  cfg.timing_memo = v.indexed;
-  cfg.simd = v.simd;
-  cfg.timing_threads = v.threads;
+  const sim::SimConfig cfg = service::PlacementService::RequestSimConfig(req);
 
   // Policy construction (incl. Merchandiser's offline steps) happens
   // outside the timed section: the engine's epoch loop is what is tracked.
@@ -144,39 +117,37 @@ RunRow TimeEngineRun(const std::string& app, const std::string& policy,
   const double wall = Now() - t0;
   const sim::EngineCounters c = engine.counters();
 
-  RunRow row;
-  row.app = app;
-  row.policy = policy;
-  row.scale = scale;
-  row.variant = v.name;
-  row.wall_seconds = wall;
-  row.sim_seconds = result.total_seconds;
-  row.epochs = c.epochs;
-  row.epochs_per_sec = wall > 0 ? static_cast<double>(c.epochs) / wall : 0;
-  row.timing_evals = c.timing_evals;
-  row.base_builds = c.base_builds;
-  row.partial_refreshes = c.partial_refreshes;
-  row.wall_median_seconds = wall;
-  return row;
+  row->app = app;
+  row->policy = policy;
+  row->scale = scale;
+  row->sim_seconds = result.total_seconds;
+  row->epochs = c.epochs;
+  row->timing_evals = c.timing_evals;
+  row->base_builds = c.base_builds;
+  row->partial_refreshes = c.partial_refreshes;
+  return wall;
 }
 
-/// TimeEngineRun under --repeat: min/median wall clock over `repeats`
-/// otherwise-identical runs (deterministic, so every other field agrees).
-/// Every derived rate is recomputed from the min-of-N sample — one
-/// repetition's wall clock must never be paired with another's rate.
+/// TimeEngineRun over `repeats` otherwise-identical runs. The engine is
+/// deterministic, so every repetition must report the same makespan;
+/// exits 1 otherwise.
 RunRow TimeEngineRunRepeated(const std::string& app, const std::string& policy,
-                             double scale, double work, const Variant& v,
-                             bool quick, int repeats) {
+                             double scale, double work, bool quick,
+                             int repeats) {
   RunRow row;
-  const bench::RepeatTiming t = bench::MeasureRepeated(repeats, [&] {
-    row = TimeEngineRun(app, policy, scale, work, v, quick);
-    return row.wall_seconds;
+  double first_sim = -1;
+  row.wall = bench::MeasureRepeated(repeats, [&] {
+    const double wall = TimeEngineRun(app, policy, scale, work, quick, &row);
+    if (first_sim >= 0 && row.sim_seconds != first_sim) {
+      std::fprintf(stderr,
+                   "%s/%s @ %g: repetitions diverged (%.17g vs %.17g)\n",
+                   app.c_str(), policy.c_str(), scale, first_sim,
+                   row.sim_seconds);
+      std::exit(1);
+    }
+    first_sim = row.sim_seconds;
+    return wall;
   });
-  row.wall_seconds = t.min_seconds;
-  row.wall_median_seconds = t.median_seconds;
-  row.epochs_per_sec = t.min_seconds > 0
-                           ? static_cast<double>(row.epochs) / t.min_seconds
-                           : 0;
   return row;
 }
 
@@ -218,9 +189,8 @@ double TimeServiceBatch(double scale, double work, service::BatchMode mode) {
 }
 
 void WriteJson(const char* path, const std::vector<RunRow>& rows,
-               double sweep_speedup, double service_legacy_wall,
-               double service_optimized_wall, double service_fused_wall,
-               bool quick, std::size_t threads) {
+               double memo_speedup, const bench::RepeatTiming& per_request,
+               const bench::RepeatTiming& fused, bool quick, int repeats) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -228,47 +198,40 @@ void WriteJson(const char* path, const std::vector<RunRow>& rows,
   }
   std::fprintf(f, "{\n  \"bench\": \"engine_speed\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"threads\": %zu,\n", threads);
+  std::fprintf(f, "  \"repeats\": %d,\n", repeats);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
-    double legacy_wall = 0;
-    for (const RunRow& o : rows) {
-      if (o.app == r.app && o.policy == r.policy && o.scale == r.scale &&
-          o.variant == "legacy") {
-        legacy_wall = o.wall_seconds;
-      }
-    }
     std::fprintf(
         f,
         "    {\"app\": \"%s\", \"policy\": \"%s\", \"scale\": %g, "
-        "\"variant\": \"%s\", \"wall_seconds\": %.6f, "
-        "\"wall_median_seconds\": %.6f, "
-        "\"sim_seconds\": %.9g, \"epochs\": %llu, \"epochs_per_sec\": %.1f, "
+        "\"variant\": \"engine\", \"wall_seconds\": %.6f, "
+        "\"wall_median_seconds\": %.6f, \"wall_iqr_seconds\": %.6f, "
+        "\"sim_seconds\": %.9g, \"epochs\": %llu, "
         "\"timing_evals\": %llu, \"base_builds\": %llu, "
-        "\"partial_refreshes\": %llu, \"speedup\": %.3f}%s\n",
-        r.app.c_str(), r.policy.c_str(), r.scale, r.variant.c_str(),
-        r.wall_seconds, r.wall_median_seconds, r.sim_seconds,
-        static_cast<unsigned long long>(r.epochs), r.epochs_per_sec,
+        "\"partial_refreshes\": %llu, \"memo_speedup\": %.3f}%s\n",
+        r.app.c_str(), r.policy.c_str(), r.scale, r.wall.min_seconds,
+        r.wall.median_seconds, r.wall.iqr_seconds, r.sim_seconds,
+        static_cast<unsigned long long>(r.epochs),
         static_cast<unsigned long long>(r.timing_evals),
         static_cast<unsigned long long>(r.base_builds),
         static_cast<unsigned long long>(r.partial_refreshes),
-        r.wall_seconds > 0 ? legacy_wall / r.wall_seconds : 0.0,
-        i + 1 < rows.size() ? "," : "");
+        r.MemoSpeedup(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"five_app_sweep_speedup\": %.3f,\n", sweep_speedup);
+  std::fprintf(f, "  \"five_app_sweep_memo_speedup\": %.3f,\n", memo_speedup);
   std::fprintf(f,
-               "  \"service_batch\": {\"legacy_wall_seconds\": %.6f, "
-               "\"optimized_wall_seconds\": %.6f, "
-               "\"fused_wall_seconds\": %.6f, \"speedup\": %.3f, "
-               "\"fused_speedup\": %.3f}\n",
-               service_legacy_wall, service_optimized_wall, service_fused_wall,
-               service_optimized_wall > 0
-                   ? service_legacy_wall / service_optimized_wall
-                   : 0.0,
-               service_fused_wall > 0
-                   ? service_legacy_wall / service_fused_wall
+               "  \"service_batch\": {\"per_request_wall_seconds\": %.6f, "
+               "\"per_request_wall_median_seconds\": %.6f, "
+               "\"per_request_wall_iqr_seconds\": %.6f, "
+               "\"fused_wall_seconds\": %.6f, "
+               "\"fused_wall_median_seconds\": %.6f, "
+               "\"fused_wall_iqr_seconds\": %.6f, \"fused_speedup\": %.3f}\n",
+               per_request.min_seconds, per_request.median_seconds,
+               per_request.iqr_seconds, fused.min_seconds,
+               fused.median_seconds, fused.iqr_seconds,
+               fused.median_seconds > 0
+                   ? per_request.median_seconds / fused.median_seconds
                    : 0.0);
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -281,8 +244,7 @@ void WriteJson(const char* path, const std::vector<RunRow>& rows,
 int main(int argc, char** argv) {
   using namespace merch;
   bool quick = false;
-  int repeats = 1;
-  std::size_t threads = 4;
+  int repeats = 5;
   const char* out = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -290,23 +252,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
+      repeats = std::max(1, std::atoi(argv[++i]));
     } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--quick] [--repeat N] [--threads N] [--out <path>]\n",
-          argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--repeat N] [--out <path>]\n",
+                   argv[0]);
       return 2;
     }
   }
-  if (threads == 0) threads = 1;
-
-  const Variant kLegacy{"legacy", false, false, 1};
-  const Variant kScalar{"scalar", true, false, 1};
-  const Variant kSimd{"simd", true, true, 1};
-  const Variant kParallel{"optimized", true, true, threads};
 
   // (scale, work) pairs; the first is the tracked fig4-scale measurement.
   std::vector<std::pair<double, double>> scales;
@@ -319,86 +271,62 @@ int main(int argc, char** argv) {
   const double service_work = quick ? 0.03 : 0.05;
 
   std::vector<RunRow> rows;
-  double sweep_legacy = 0, sweep_optimized = 0;
+  std::uint64_t sweep_evals = 0, sweep_builds = 0;
+  double sweep_median = 0;
   std::printf("=== engine_speed: five apps x {pm, mm, mo, merch}, "
-              "%zu arbitration thread(s) ===\n", threads);
-  TextTable table({"application", "policy", "scale", "legacy s", "scalar s",
-                   "simd s", "optimized s", "speedup"});
+              "%d repetition(s) per row ===\n", repeats);
+  TextTable table({"application", "policy", "scale", "min s", "median s",
+                   "IQR s", "evals", "builds", "memo x"});
   for (std::size_t s = 0; s < scales.size(); ++s) {
     for (const std::string& app : apps::AppNames()) {
-      for (const std::string& policy : Policies()) {
-        const double scale = scales[s].first;
-        const double work = scales[s].second;
-        const RunRow legacy = TimeEngineRunRepeated(app, policy, scale, work,
-                                                    kLegacy, quick, repeats);
-        rows.push_back(legacy);
-        // Variant curves (scalar / simd) only at the tracked scale; the
-        // secondary scale tracks legacy vs the full engine.
-        std::vector<Variant> curve;
-        if (s == 0) curve = {kScalar, kSimd};
-        curve.push_back(kParallel);
-        RunRow optimized;
-        std::string scalar_s = "-", simd_s = "-";
-        for (const Variant& v : curve) {
-          const RunRow r = TimeEngineRunRepeated(app, policy, scale, work, v,
-                                                 quick, repeats);
-          if (legacy.sim_seconds != r.sim_seconds) {
-            std::fprintf(stderr, "%s/%s/%s: variants diverged (%.9g vs %.9g)\n",
-                         app.c_str(), policy.c_str(), v.name,
-                         legacy.sim_seconds, r.sim_seconds);
-            return 1;
-          }
-          rows.push_back(r);
-          if (std::strcmp(v.name, "scalar") == 0) {
-            scalar_s = TextTable::Num(r.wall_seconds);
-          } else if (std::strcmp(v.name, "simd") == 0) {
-            simd_s = TextTable::Num(r.wall_seconds);
-          } else {
-            optimized = r;
-          }
-        }
+      for (const char* policy : {"pm", "mm", "mo", "merch"}) {
+        const RunRow r = TimeEngineRunRepeated(
+            app, policy, scales[s].first, scales[s].second, quick, repeats);
+        rows.push_back(r);
         if (s == 0) {
-          sweep_legacy += legacy.wall_seconds;
-          sweep_optimized += optimized.wall_seconds;
+          sweep_evals += r.timing_evals;
+          sweep_builds += r.base_builds + r.partial_refreshes;
+          sweep_median += r.wall.median_seconds;
         }
-        table.AddRow({app, policy, TextTable::Num(scale),
-                      TextTable::Num(legacy.wall_seconds), scalar_s, simd_s,
-                      TextTable::Num(optimized.wall_seconds),
-                      TextTable::Num(legacy.wall_seconds /
-                                     std::max(optimized.wall_seconds, 1e-9))});
+        table.AddRow({app, policy, TextTable::Num(r.scale),
+                      TextTable::Num(r.wall.min_seconds),
+                      TextTable::Num(r.wall.median_seconds),
+                      TextTable::Num(r.wall.iqr_seconds),
+                      std::to_string(r.timing_evals),
+                      std::to_string(r.base_builds + r.partial_refreshes),
+                      TextTable::Num(r.MemoSpeedup())});
       }
     }
   }
   table.Print();
-  const double sweep_speedup =
-      sweep_optimized > 0 ? sweep_legacy / sweep_optimized : 0;
-  std::printf("\nfive-app sweep aggregate (scale %g, 4 policies): "
-              "legacy %.2fs, optimized %.2fs -> %.2fx\n",
-              scales[0].first, sweep_legacy, sweep_optimized, sweep_speedup);
+  const double memo_speedup =
+      sweep_builds > 0 ? static_cast<double>(sweep_evals) /
+                             static_cast<double>(sweep_builds)
+                       : 0;
+  std::printf("\nfive-app sweep (scale %g, 4 policies): sum of medians "
+              "%.3fs; %llu timing evals over %llu base builds+refreshes "
+              "-> memo %.2fx\n",
+              scales[0].first, sweep_median,
+              static_cast<unsigned long long>(sweep_evals),
+              static_cast<unsigned long long>(sweep_builds), memo_speedup);
 
-  // Service batch: the legacy pass goes through the env escape hatches so
-  // the whole stack (service -> engine) is exercised, not just the config.
   std::printf("\n=== engine_speed: service batch (5 apps x pm/mm/mo) ===\n");
-  setenv("MERCH_SWEEP_INDEX", "0", 1);
-  setenv("MERCH_ENGINE_MEMO", "0", 1);
-  const double service_legacy =
-      TimeServiceBatch(service_scale, service_work,
-                       service::BatchMode::kPerRequest);
-  unsetenv("MERCH_SWEEP_INDEX");
-  unsetenv("MERCH_ENGINE_MEMO");
-  const double service_optimized =
-      TimeServiceBatch(service_scale, service_work,
-                       service::BatchMode::kPerRequest);
-  const double service_fused =
-      TimeServiceBatch(service_scale, service_work,
-                       service::BatchMode::kFused);
-  std::printf("legacy %.2fs, optimized %.2fs, fused %.2fs -> %.2fx "
-              "(%.2fx fused)\n",
-              service_legacy, service_optimized, service_fused,
-              service_legacy / std::max(service_optimized, 1e-9),
-              service_legacy / std::max(service_fused, 1e-9));
+  const bench::RepeatTiming per_request =
+      bench::MeasureRepeated(repeats, [&] {
+        return TimeServiceBatch(service_scale, service_work,
+                                service::BatchMode::kPerRequest);
+      });
+  const bench::RepeatTiming fused = bench::MeasureRepeated(repeats, [&] {
+    return TimeServiceBatch(service_scale, service_work,
+                            service::BatchMode::kFused);
+  });
+  std::printf("per-request median %.2fs (IQR %.3fs), fused median %.2fs "
+              "(IQR %.3fs) -> %.2fx fused\n",
+              per_request.median_seconds, per_request.iqr_seconds,
+              fused.median_seconds, fused.iqr_seconds,
+              per_request.median_seconds /
+                  std::max(fused.median_seconds, 1e-9));
 
-  WriteJson(out, rows, sweep_speedup, service_legacy, service_optimized,
-            service_fused, quick, threads);
+  WriteJson(out, rows, memo_speedup, per_request, fused, quick, repeats);
   return 0;
 }

@@ -9,8 +9,8 @@
 //   optimized — the defaults (SoA flat forest + PredictBatch, lazy-deletion
 //               max-heap greedy probing through per-task partial
 //               specializations of the correlation function, decision memos).
-// The engine-side optimizations (MERCH_SWEEP_INDEX / MERCH_ENGINE_MEMO)
-// stay ON in both variants: this bench isolates the decision path.
+// Both variants run the same (single-path) engine: this bench isolates
+// the decision path.
 // Results are bit-identical between variants (tests/decision_equiv_test.cc
 // and the equality gates below); only the wall clock differs.
 //

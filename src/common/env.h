@@ -1,11 +1,10 @@
-// Environment-variable escape hatches shared by the perf-sensitive
-// subsystems (engine, ml, core decision path).
+// Environment-variable escape hatches of the decision path.
 //
-// Every optimisation that replaces a legacy code path keeps a runtime
-// toggle so benchmarks can reproduce the pre-optimisation cost profile
-// without a rebuild: MERCH_SWEEP_INDEX / MERCH_ENGINE_MEMO / MERCH_SIMD /
-// MERCH_ARENA (sim), MERCH_FLAT_FOREST / MERCH_SIMD (ml),
-// MERCH_GREEDY_HEAP / MERCH_POLICY_MEMO (core).
+// Three toggles remain, each selecting between an optimised path and the
+// reference it replaced, so benchmarks can reproduce the older cost
+// profile without a rebuild: MERCH_FLAT_FOREST (ml), MERCH_GREEDY_HEAP and
+// MERCH_POLICY_MEMO (core). The simulation engine has a single path and
+// no toggles.
 #pragma once
 
 namespace merch::common {

@@ -109,21 +109,7 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
   // pruning below); the overflow continuation then re-gathers instead of
   // extending a full list.
   bool pruned = false;
-  if (table_->legacy_scan()) {
-    // Pre-index cost profile (bench baseline): probe every page of every
-    // live object and sort the full candidate set.
-    for (ObjectId id = 0; id < table_->num_objects(); ++id) {
-      if (!table_->is_live(id)) continue;
-      const ObjectExtent& e = table_->extent(id);
-      for (PageId p = e.first_page; p < e.first_page + e.num_pages; ++p) {
-        if (table_->page(p).tier == Tier::kDram) {
-          candidates.push_back({p, count_of(p)});
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end(), colder);
-    sorted = candidates.size();
-  } else if (heat && floor) {
+  if (heat && floor) {
     // Object-floor pruning: rank live objects by an exact lower bound of
     // their pages' heat, then fill a bounded max-heap of the `to_free`
     // coldest pages object by object, coldest-bound first. Once the heap

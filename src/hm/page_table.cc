@@ -8,12 +8,6 @@
 #include "obs/trace.h"
 
 namespace merch::hm {
-namespace {
-
-/// Lowest set bit of a 1-based Fenwick position.
-constexpr std::uint64_t LowBit(std::uint64_t i) { return i & (~i + 1); }
-
-}  // namespace
 
 PageTable::PageTable(HmSpec spec, std::uint64_t page_bytes)
     : spec_(spec), page_bytes_(page_bytes) {
@@ -30,7 +24,7 @@ std::optional<ObjectId> PageTable::RegisterObject(std::uint64_t bytes,
   }
   const auto id = static_cast<ObjectId>(extents_.size());
   const PageId first = pages_.size();
-  pages_.resize(pages_.size() + npages, PageEntry{.tier = tier});
+  pages_.resize(pages_.size() + npages);
   page_ref_.resize(page_ref_.size() + npages, PageRef{id, tier});
   used_pages_[static_cast<std::size_t>(tier)] += npages;
   extents_.push_back(ObjectExtent{.id = id,
@@ -41,20 +35,12 @@ std::optional<ObjectId> PageTable::RegisterObject(std::uint64_t bytes,
   live_.push_back(true);
   const bool on_dram = tier == Tier::kDram;
   dram_pages_per_object_.push_back(on_dram ? npages : 0);
-  ResidencyIndex ri;
-  ri.bits.assign((npages + 63) / 64, on_dram ? ~0ull : 0ull);
+  std::vector<std::uint64_t> bits((npages + 63) / 64,
+                                  on_dram ? ~0ull : 0ull);
   if (on_dram && (npages & 63) != 0) {
-    ri.bits.back() = (1ull << (npages & 63)) - 1;  // clear past-end ranks
+    bits.back() = (1ull << (npages & 63)) - 1;  // clear past-end ranks
   }
-  // A Fenwick tree over an all-equal array builds in O(n): position i
-  // covers LowBit(i) ranks, each contributing 0 or 1.
-  ri.tree.assign(npages + 1, 0);
-  if (on_dram) {
-    for (std::uint64_t i = 1; i <= npages; ++i) {
-      ri.tree[i] = static_cast<std::uint32_t>(LowBit(i));
-    }
-  }
-  residency_.push_back(std::move(ri));
+  residency_.push_back(std::move(bits));
   MERCH_METRIC_COUNT("merch_hm_objects_registered_total", 1);
   MERCH_METRIC_GAUGE_SET("merch_hm_pages", pages_.size());
   MERCH_TRACE_INSTANT_ARG(obs::Category::kHm, "hm.register_object", "pages",
@@ -67,7 +53,7 @@ void PageTable::ReleaseObject(ObjectId id) {
   if (!live_[id]) return;
   const ObjectExtent& e = extents_[id];
   for (PageId p = e.first_page; p < e.first_page + e.num_pages; ++p) {
-    used_pages_[static_cast<std::size_t>(pages_[p].tier)] -= 1;
+    used_pages_[static_cast<std::size_t>(page_ref_[p].tier)] -= 1;
   }
   // The residency index keeps mirroring the (unchanged) page tiers; only
   // the live-object DRAM count is zeroed, like the capacity accounting.
@@ -77,50 +63,24 @@ void PageTable::ReleaseObject(ObjectId id) {
                           e.num_pages);
 }
 
-std::optional<ObjectId> PageTable::ObjectOfPageLegacy(PageId p) const {
-  for (const ObjectExtent& e : extents_) {
-    if (live_[e.id] && p >= e.first_page && p < e.first_page + e.num_pages) {
-      return e.id;
-    }
-  }
-  return std::nullopt;
-}
-
 std::uint64_t PageTable::object_pages_on(ObjectId id, Tier t) const {
   assert(id < extents_.size());
   const std::uint64_t on_dram = dram_pages_per_object_[id];
   return t == Tier::kDram ? on_dram : extents_[id].num_pages - on_dram;
 }
 
-std::uint64_t PageTable::dram_pages_in_rank_range(ObjectId id,
-                                                  std::uint64_t r0,
-                                                  std::uint64_t r1) const {
-  assert(id < extents_.size());
-  const std::vector<std::uint32_t>& tree = residency_[id].tree;
-  r1 = std::min<std::uint64_t>(r1, extents_[id].num_pages);
-  r0 = std::min(r0, r1);
-  std::uint64_t sum = 0;
-  for (std::uint64_t i = r1; i > 0; i -= LowBit(i)) sum += tree[i];
-  for (std::uint64_t i = r0; i > 0; i -= LowBit(i)) sum -= tree[i];
-  return sum;
-}
-
-void PageTable::SetResidency(ObjectId id, std::uint64_t rank, bool on_dram) {
-  ResidencyIndex& ri = residency_[id];
-  std::uint64_t& word = ri.bits[rank >> 6];
+void PageTable::SetResidency(ObjectId id, std::uint64_t rank,
+                             [[maybe_unused]] bool on_dram) {
+  std::uint64_t& word = residency_[id][rank >> 6];
   const std::uint64_t mask = 1ull << (rank & 63);
   assert(((word & mask) != 0) != on_dram && "residency out of sync");
   word ^= mask;
-  const std::uint32_t delta = on_dram ? 1u : ~0u;  // +1 / -1 mod 2^32
-  for (std::uint64_t i = rank + 1; i < ri.tree.size(); i += LowBit(i)) {
-    ri.tree[i] += delta;
-  }
 }
 
 std::uint64_t PageTable::FindRank(ObjectId id, std::uint64_t start,
                                   bool on_dram) const {
   const std::uint64_t n = extents_[id].num_pages;
-  const std::vector<std::uint64_t>& bits = residency_[id].bits;
+  const std::vector<std::uint64_t>& bits = residency_[id];
   std::uint64_t w = start >> 6;
   while (w < bits.size()) {
     // Bits equal to the target become 1; mask off ranks before `start`.
@@ -138,7 +98,7 @@ std::uint64_t PageTable::FindRank(ObjectId id, std::uint64_t start,
 void PageTable::AppendTierPages(ObjectId id, bool on_dram,
                                 std::vector<PageId>& out) const {
   const ObjectExtent& e = extents_[id];
-  const std::vector<std::uint64_t>& bits = residency_[id].bits;
+  const std::vector<std::uint64_t>& bits = residency_[id];
   for (std::size_t w = 0; w < bits.size(); ++w) {
     // DRAM bits past num_pages stay clear by construction; the inverted
     // (PM) view turns them on, so the rank guard below stops the tail.
@@ -159,7 +119,7 @@ std::uint64_t PageTable::FindRankBefore(ObjectId id, std::uint64_t end,
   if (end == 0) return n;
   std::uint64_t w = (end - 1) >> 6;
   while (true) {
-    std::uint64_t match = on_dram ? residency_[id].bits[w] : ~residency_[id].bits[w];
+    std::uint64_t match = on_dram ? residency_[id][w] : ~residency_[id][w];
     if (w == (end - 1) >> 6) {
       const std::uint64_t top = (end - 1) & 63;  // highest admissible bit
       match &= top == 63 ? ~0ull : (1ull << (top + 1)) - 1;
@@ -178,12 +138,10 @@ std::uint64_t PageTable::FindRankBefore(ObjectId id, std::uint64_t end,
 }
 
 void PageTable::CommitMove(ObjectId owner, PageId p, Tier to) {
-  PageEntry& pe = pages_[p];
-  const Tier from = pe.tier;
+  const Tier from = page_ref_[p].tier;
   assert(from != to);
   used_pages_[static_cast<std::size_t>(from)] -= 1;
   used_pages_[static_cast<std::size_t>(to)] += 1;
-  pe.tier = to;
   page_ref_[p].tier = to;
   SetResidency(owner, p - extents_[owner].first_page, to == Tier::kDram);
   if (live_[owner]) {
@@ -194,7 +152,7 @@ void PageTable::CommitMove(ObjectId owner, PageId p, Tier to) {
 
 bool PageTable::MovePage(PageId p, Tier to) {
   assert(p < pages_.size());
-  if (pages_[p].tier == to) return true;
+  if (page_ref_[p].tier == to) return true;
   if (tier_free_pages(to) == 0) return false;
   const std::optional<ObjectId> owner = OwnerOfPage(p);
   assert(owner.has_value() && "every page belongs to exactly one extent");
@@ -206,18 +164,6 @@ std::uint64_t PageTable::MoveHottest(ObjectId id, std::uint64_t k, Tier to) {
   assert(id < extents_.size() && live_[id]);
   const ObjectExtent& e = extents_[id];
   std::uint64_t moved = 0;
-  if (legacy_scan_) {
-    // Pre-index cost profile (bench baseline): probe every page from the
-    // hot end. Visits the same pages in the same order as the bitset walk.
-    for (PageId p = e.first_page; p < e.first_page + e.num_pages && moved < k;
-         ++p) {
-      if (pages_[p].tier == to) continue;
-      if (tier_free_pages(to) == 0) break;
-      CommitMove(id, p, to);
-      ++moved;
-    }
-    return moved;
-  }
   const bool source_dram = to == Tier::kPm;  // pages not yet on `to`
   std::uint64_t rank = FindRank(id, 0, source_dram);
   while (rank < e.num_pages && moved < k) {
@@ -235,18 +181,6 @@ std::uint64_t PageTable::EvictColdest(ObjectId id, std::uint64_t k,
   const ObjectExtent& e = extents_[id];
   const Tier to = OtherTier(from);
   std::uint64_t moved = 0;
-  if (legacy_scan_) {
-    // Pre-index cost profile (bench baseline): probe every page from the
-    // cold end, same visit order as the bitset walk.
-    for (PageId p = e.first_page + e.num_pages;
-         p > e.first_page && moved < k; --p) {
-      if (pages_[p - 1].tier != from) continue;
-      if (tier_free_pages(to) == 0) break;
-      CommitMove(id, p - 1, to);
-      ++moved;
-    }
-    return moved;
-  }
   const bool source_dram = from == Tier::kDram;
   std::uint64_t rank = FindRankBefore(id, e.num_pages, source_dram);
   while (rank < e.num_pages && moved < k) {

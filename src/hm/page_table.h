@@ -10,12 +10,10 @@
 // operation for ideal policies while sampling-based policies still probe
 // individual pages.
 //
-// Residency queries are served from an incremental per-object index kept
-// in lock-step with every page move:
-//   - a rank-order DRAM bitset   -> page_rank_on_dram is O(1)
-//   - a Fenwick tree over ranks  -> dram_pages_in_rank_range is O(log n)
-//   - sorted contiguous extents  -> ObjectOfPage is O(log #objects)
-// The index mirrors physical page tiers exactly (including pages of
+// Residency queries are served from a per-object rank-order DRAM bitset
+// kept in lock-step with every page move (O(1) rank probes, word-skipping
+// tier enumeration), and ObjectOfPage from a dense page->owner record.
+// The bitset mirrors physical page tiers exactly (including pages of
 // released objects, whose tiers do not change on release), so the probing
 // and indexed read paths agree bit-for-bit.
 #pragma once
@@ -31,9 +29,9 @@
 
 namespace merch::hm {
 
-/// Per-page metadata.
+/// Per-page access counters (the page's tier lives in the packed
+/// page->(owner, tier) record; see PageTable::page_tier).
 struct PageEntry {
-  Tier tier = Tier::kPm;
   /// Accesses recorded since the last epoch reset (profilers read this).
   std::uint64_t epoch_accesses = 0;
   /// Accesses over the whole simulation.
@@ -73,19 +71,17 @@ class PageTable {
   const HmSpec& spec() const { return spec_; }
 
   /// Tier of page `p`, served from the packed per-page record so random
-  /// probes (profiler sampling, sweep windows) stay cache-resident; always
-  /// equal to page(p).tier. Tier and owner share a cache line on purpose:
-  /// a profiler sample reads both, and the strided PageEntry array would
-  /// cost two misses where this costs one.
+  /// probes (profiler sampling, sweep windows) stay cache-resident. Tier
+  /// and owner share a cache line on purpose: a profiler sample reads
+  /// both.
   Tier page_tier(PageId p) const { return page_ref_[p].tier; }
   const PageEntry& page(PageId p) const { return pages_[p]; }
   std::uint64_t num_pages() const { return pages_.size(); }
 
   /// Which live object owns page `p`. O(1) via the packed per-page record
   /// (inline: profiler samples hit this tens of millions of times per
-  /// run); the legacy cost profile keeps the pre-index linear extent scan.
+  /// run).
   std::optional<ObjectId> ObjectOfPage(PageId p) const {
-    if (legacy_scan_) return ObjectOfPageLegacy(p);
     if (p >= page_ref_.size()) return std::nullopt;
     const ObjectId id = page_ref_[p].owner;
     if (!live_[id]) return std::nullopt;
@@ -109,25 +105,12 @@ class PageTable {
   /// released object regardless of where its stale pages sit).
   std::uint64_t object_pages_on(ObjectId id, Tier t) const;
 
-  /// Whether the page at heat rank `rank` of `id` is on DRAM. O(1) bitset
-  /// probe; mirrors page_tier(extent.first_page + rank) exactly.
-  bool page_rank_on_dram(ObjectId id, std::uint64_t rank) const {
-    const std::vector<std::uint64_t>& bits = residency_[id].bits;
-    return ((bits[rank >> 6] >> (rank & 63)) & 1u) != 0;
-  }
-
-  /// Raw rank-order DRAM bitset of `id` (bit = 1 means on DRAM). Lets
-  /// batched probe loops (the engine's SIMD sweep windows) hoist the
-  /// per-object indirection out of their inner loop; each word read agrees
-  /// with page_rank_on_dram bit for bit.
+  /// Rank-order DRAM bitset of `id`: bit `rank` (word rank >> 6, bit
+  /// rank & 63) is 1 iff page_tier(extent.first_page + rank) is DRAM. The
+  /// engine's sweep-window probes read it directly.
   std::span<const std::uint64_t> residency_bits(ObjectId id) const {
-    return residency_[id].bits;
+    return residency_[id];
   }
-
-  /// DRAM pages among heat ranks [r0, r1) of `id`. O(log num_pages) via
-  /// the per-object Fenwick tree.
-  std::uint64_t dram_pages_in_rank_range(ObjectId id, std::uint64_t r0,
-                                         std::uint64_t r1) const;
 
   /// Move one page to `to`. Returns false if `to` is at capacity.
   bool MovePage(PageId p, Tier to);
@@ -177,23 +160,7 @@ class PageTable {
   std::uint64_t FindRankBefore(ObjectId id, std::uint64_t end,
                                bool on_dram) const;
 
-  /// Benchmark-only escape hatch: route ObjectOfPage, MoveHottest,
-  /// EvictColdest, and MigrationEngine::MakeRoomInDram through the
-  /// pre-index linear page/extent scans so bench/engine_speed can measure
-  /// the legacy engine's cost profile. Results are identical either way
-  /// (the scans visit pages in the same order the word-skipping bitset
-  /// walks do); only the constant factors change. The residency index
-  /// stays maintained.
-  void set_legacy_scan(bool on) { legacy_scan_ = on; }
-  bool legacy_scan() const { return legacy_scan_; }
-
  private:
-  /// Per-object incremental DRAM-residency index over heat ranks.
-  struct ResidencyIndex {
-    std::vector<std::uint64_t> bits;   // bit per rank, 1 = on DRAM
-    std::vector<std::uint32_t> tree;   // 1-based Fenwick over ranks
-  };
-
   void NotifyMove(PageId p, Tier from, Tier to) {
     if (move_listener_) move_listener_(p, from, to);
   }
@@ -206,10 +173,6 @@ class PageTable {
     return page_ref_[p].owner;
   }
 
-  /// Pre-index cost profile of ObjectOfPage (bench baseline): linear scan
-  /// over every extent.
-  std::optional<ObjectId> ObjectOfPageLegacy(PageId p) const;
-
   /// Retier page `p` of object `owner`: usage counters, residency index,
   /// live-object DRAM count, listener. Caller has verified `p` is not on
   /// `to` and `to` has capacity.
@@ -220,7 +183,6 @@ class PageTable {
   MoveListener move_listener_;
   HmSpec spec_;
   std::uint64_t page_bytes_;
-  bool legacy_scan_ = false;
   /// Dense per-page mirror of (owner, tier): one 8-byte record per page so
   /// a random probe that needs both — every profiler sample — takes one
   /// cache miss, not two. Owner ignores liveness, like OwnerOfPage.
@@ -235,7 +197,8 @@ class PageTable {
   std::uint64_t used_pages_[kNumTiers] = {0, 0};
   // Per-object count of pages on DRAM, to answer object_pages_on in O(1).
   std::vector<std::uint64_t> dram_pages_per_object_;
-  std::vector<ResidencyIndex> residency_;
+  // Per-object DRAM-residency bitset over heat ranks (1 = on DRAM).
+  std::vector<std::vector<std::uint64_t>> residency_;
 };
 
 }  // namespace merch::hm

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <latch>
-#include <thread>
+#include <stdexcept>
+#include <string>
 
 #include "cachesim/cpu_cache.h"
-#include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,9 +24,7 @@ double MixedBandwidthBytesPerSec(const hm::TierSpec& tier, double read_fraction)
 }
 
 /// Read/write-blended access latency: writes pay the tier's write-latency
-/// factor (Optane's asymmetric write path). One definition serves both the
-/// scalar builder and the lane hoisting, so the two paths share every FP
-/// operation.
+/// factor (Optane's asymmetric write path).
 double BlendedLatencyNs(const hm::TierSpec& tier, double read_fraction,
                         bool sequential) {
   const double base_lat =
@@ -37,15 +33,13 @@ double BlendedLatencyNs(const hm::TierSpec& tier, double read_fraction,
                      (1.0 - read_fraction) * tier.write_latency_factor);
 }
 
-/// Minimum live tasks before the fixed point fans TimingFromBase over the
-/// pool: below this the latch round-trip costs more than the evals.
-constexpr std::size_t kParallelTimingMinTasks = 8;
-
 /// Up-front capacity for the per-epoch bandwidth telemetry (grows beyond
 /// this only for very long runs; see SimResult::bandwidth).
 constexpr std::size_t kBandwidthReserve = 4096;
 
-using common::EnvToggle;
+/// Sweeping accesses see the placement of the pages they are about to
+/// touch; the lookahead window approximates one epoch's advance.
+constexpr double kLookahead = 0.05;
 
 }  // namespace
 
@@ -83,23 +77,10 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
       rng_(config.seed) {
   assert(workload.Validate().empty() && "invalid workload");
   hw_cache_mode_ = policy_ != nullptr && policy_->uses_hardware_cache();
-  sweep_index_ = EnvToggle("MERCH_SWEEP_INDEX", config_.sweep_index);
-  timing_memo_ = EnvToggle("MERCH_ENGINE_MEMO", config_.timing_memo);
-  // The lane path stores bases in SoA form and probes sweeps through the
-  // residency bitset, so it presumes both earlier hatches; turning either
-  // off falls all the way back to that path's cost profile.
-  simd_ = EnvToggle("MERCH_SIMD", config_.simd) && sweep_index_ && timing_memo_;
-  arena_.set_pooled(EnvToggle("MERCH_ARENA", config_.arena));
-  if (config_.timing_threads > 1) {
-    pool_ = std::make_unique<service::ThreadPool>(config_.timing_threads);
-  }
   pages_ = std::make_unique<hm::PageTable>(machine_.hm, config_.page_bytes);
-  pages_->set_legacy_scan(!sweep_index_);
   migration_ = std::make_unique<hm::MigrationEngine>(*pages_);
   RegisterObjects();
-  oracle_ =
-      std::make_unique<AccessOracle>(*workload_, *pages_, handles_,
-                                     /*linear_lookup=*/!sweep_index_);
+  oracle_ = std::make_unique<AccessOracle>(*workload_, *pages_, handles_);
   ctx_ = std::make_unique<SimContext>(*this);
 
   dram_weight_.assign(workload_->objects.size(), 0.0);
@@ -115,22 +96,9 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
   // owner lookup is the page table's dense page->owner map (O(1)).
   pages_->SetMoveListener([this](PageId p, hm::Tier /*from*/, hm::Tier to) {
     ++placement_version_;
-    std::size_t i = handles_.size();
-    if (sweep_index_) {
-      const std::optional<ObjectId> obj = pages_->ObjectOfPage(p);
-      if (!obj.has_value() || *obj >= handles_.size()) return;  // scratch
-      i = *obj;  // engine registered first: handle == index
-    } else {
-      // Pre-index cost profile: linear extent scan (bench baseline only).
-      for (std::size_t k = 0; k < handles_.size(); ++k) {
-        const hm::ObjectExtent& ek = pages_->extent(handles_[k]);
-        if (p >= ek.first_page && p < ek.first_page + ek.num_pages) {
-          i = k;
-          break;
-        }
-      }
-      if (i == handles_.size()) return;
-    }
+    const std::optional<ObjectId> obj = pages_->ObjectOfPage(p);
+    if (!obj.has_value() || *obj >= handles_.size()) return;  // scratch
+    const std::size_t i = *obj;  // engine registered first: handle == index
     const hm::ObjectExtent& e = pages_->extent(handles_[i]);
     const double w = workload_->objects[i].heat.PageFraction(
         p - e.first_page, e.num_pages);
@@ -145,7 +113,15 @@ void Engine::RegisterObjects() {
     // Everything starts on PM: the paper's App Direct baseline state (cold
     // data lands on the big tier; policies promote from there).
     auto id = pages_->RegisterObject(o.bytes, hm::Tier::kPm, o.owner);
-    assert(id.has_value() && "HM capacity exceeded by workload");
+    if (!id.has_value()) {
+      throw std::invalid_argument(
+          "workload object '" + o.name + "' (" + std::to_string(o.bytes) +
+          " B) does not fit: the PM tier has " +
+          std::to_string(pages_->tier_free_bytes(hm::Tier::kPm)) +
+          " B free and the DRAM tier " +
+          std::to_string(pages_->tier_free_bytes(hm::Tier::kDram)) +
+          " B at " + std::to_string(config_.page_bytes) + " B pages");
+    }
     assert(*id == handles_.size() && "engine handles must be identity-mapped");
     handles_.push_back(*id);
   }
@@ -165,7 +141,7 @@ void Engine::SetHwDramFraction(std::size_t object, double fraction) {
   // identical inputs reproduces identical costs, so skipping the
   // invalidation is a value-level no-op (hardware-cache policies re-post
   // mostly-stable fractions every interval).
-  if (simd_ && hw_fraction_[object] == clamped) return;
+  if (hw_fraction_[object] == clamped) return;
   ++placement_version_;
   hw_fraction_[object] = clamped;
 }
@@ -173,15 +149,6 @@ void Engine::SetHwDramFraction(std::size_t object, double fraction) {
 void Engine::AddBackgroundTraffic(double bytes_on_pm, double bytes_on_dram) {
   pending_background_pm_ += bytes_on_pm;
   pending_background_dram_ += bytes_on_dram;
-}
-
-EngineCounters Engine::counters() const {
-  EngineCounters c;
-  c.epochs = epochs_;
-  c.timing_evals = timing_evals_;
-  c.base_builds = base_builds_.load(std::memory_order_relaxed);
-  c.partial_refreshes = partial_refreshes_.load(std::memory_order_relaxed);
-  return c;
 }
 
 Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
@@ -194,8 +161,32 @@ Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
                           static_cast<double>(kernel.instructions);
   d.compute_seconds = static_cast<double>(kernel.instructions) /
                       (machine_.base_ipc * machine_.core_ghz * 1e9);
-  d.accesses.reserve(kernel.accesses.size());
+  // Hoist every placement-independent per-access term into stride-1
+  // lanes; base rebuilds then only probe residency and run the cost loop.
+  LaneBlock& L = d.lanes;
+  const std::size_t n = kernel.accesses.size();
+  L.n = n;
+  L.mm = arena_.AllocSpan<double>(n);
+  L.bytes = arena_.AllocSpan<double>(n);
+  L.mlp = arena_.AllocSpan<double>(n);
+  L.bw_dram = arena_.AllocSpan<double>(n);
+  L.bw_pm = arena_.AllocSpan<double>(n);
+  L.lat_dram = arena_.AllocSpan<double>(n);
+  L.lat_pm = arena_.AllocSpan<double>(n);
+  L.f = arena_.AllocSpan<double>(n);
+  L.object = arena_.AllocSpan<std::uint32_t>(n);
+  std::size_t n_sweep = 0;
   for (const trace::ObjectAccess& a : kernel.accesses) {
+    n_sweep += trace::TraitsOf(a.pattern).sweeping ? 1 : 0;
+  }
+  L.sweep_ix = arena_.AllocSpan<std::uint32_t>(n_sweep);
+  const hm::TierSpec& dram = machine_.hm[hm::Tier::kDram];
+  const hm::TierSpec& pm = machine_.hm[hm::Tier::kPm];
+  std::size_t s = 0;
+  double overlap_weight = 0, mm_total = 0;
+  d.accesses.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const trace::ObjectAccess& a = kernel.accesses[i];
     const ObjectDecl& decl = workload_->objects[a.object];
     const std::uint64_t active =
         region.active_bytes.empty() ? decl.bytes
@@ -207,93 +198,35 @@ Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
     const trace::PatternTraits& traits = trace::TraitsOf(a.pattern);
     DerivedAccess da;
     da.object = a.object;
-    da.pattern = a.pattern;
     da.program = static_cast<double>(a.program_accesses);
     da.mm = da.program * miss;
-    da.bytes = da.mm * machine_.cache.line_bytes;
-    da.read_fraction = a.read_fraction;
-    da.mlp = traits.mlp;
     da.overlap = traits.overlap;
     da.prefetch_miss = traits.prefetch_miss;
-    da.sequential = traits.sequential_latency;
     da.sweeping = traits.sweeping;
     da.l2_misses = da.program * l2_rate;
     d.has_sweep = d.has_sweep || da.sweeping;
     d.accesses.push_back(da);
+
+    L.mm[i] = da.mm;
+    L.bytes[i] = da.mm * machine_.cache.line_bytes;
+    L.mlp[i] = traits.mlp;
+    L.bw_dram[i] = MixedBandwidthBytesPerSec(dram, a.read_fraction);
+    L.bw_pm[i] = MixedBandwidthBytesPerSec(pm, a.read_fraction);
+    L.lat_dram[i] =
+        BlendedLatencyNs(dram, a.read_fraction, traits.sequential_latency);
+    L.lat_pm[i] =
+        BlendedLatencyNs(pm, a.read_fraction, traits.sequential_latency);
+    L.object[i] = static_cast<std::uint32_t>(a.object);
+    if (da.sweeping) L.sweep_ix[s++] = static_cast<std::uint32_t>(i);
+    overlap_weight += da.overlap * da.mm;
+    mm_total += da.mm;
   }
-  if (simd_) {
-    // Hoist every placement-independent per-access term into stride-1
-    // lanes, computed by the same helpers (hence the same FP operations)
-    // the scalar builder would run on each rebuild.
-    LaneBlock& L = d.lanes;
-    const std::size_t n = d.accesses.size();
-    L.n = n;
-    L.mm = arena_.AllocSpan<double>(n);
-    L.bytes = arena_.AllocSpan<double>(n);
-    L.mlp = arena_.AllocSpan<double>(n);
-    L.bw_dram = arena_.AllocSpan<double>(n);
-    L.bw_pm = arena_.AllocSpan<double>(n);
-    L.lat_dram = arena_.AllocSpan<double>(n);
-    L.lat_pm = arena_.AllocSpan<double>(n);
-    L.f = arena_.AllocSpan<double>(n);
-    L.object = arena_.AllocSpan<std::uint32_t>(n);
-    std::size_t n_sweep = 0;
-    for (const DerivedAccess& a : d.accesses) n_sweep += a.sweeping ? 1 : 0;
-    L.sweep_ix = arena_.AllocSpan<std::uint32_t>(n_sweep);
-    const hm::TierSpec& dram = machine_.hm[hm::Tier::kDram];
-    const hm::TierSpec& pm = machine_.hm[hm::Tier::kPm];
-    std::size_t s = 0;
-    double overlap_weight = 0, mm_total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const DerivedAccess& a = d.accesses[i];
-      L.mm[i] = a.mm;
-      L.bytes[i] = a.bytes;
-      L.mlp[i] = a.mlp;
-      L.bw_dram[i] = MixedBandwidthBytesPerSec(dram, a.read_fraction);
-      L.bw_pm[i] = MixedBandwidthBytesPerSec(pm, a.read_fraction);
-      L.lat_dram[i] = BlendedLatencyNs(dram, a.read_fraction, a.sequential);
-      L.lat_pm[i] = BlendedLatencyNs(pm, a.read_fraction, a.sequential);
-      L.object[i] = static_cast<std::uint32_t>(a.object);
-      if (a.sweeping) L.sweep_ix[s++] = static_cast<std::uint32_t>(i);
-      // The scalar builder's overlap reduction, in its order.
-      overlap_weight += a.overlap * a.mm;
-      mm_total += a.mm;
-    }
-    L.overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
-  }
+  L.overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
   return d;
 }
 
 double Engine::SweepDramFraction(std::size_t object, double f0,
                                  double f1) const {
-  if (config_.force_tier.has_value()) {
-    return *config_.force_tier == hm::Tier::kDram ? 1.0 : 0.0;
-  }
-  if (hw_cache_mode_) return hw_fraction_[object];
-  const hm::ObjectExtent& e = pages_->extent(handles_[object]);
-  if (e.num_pages == 0) return 0.0;
-  f0 = std::clamp(f0, 0.0, 1.0);
-  f1 = std::clamp(f1, f0, 1.0);
-  constexpr int kProbes = 16;
-  int hits = 0;
-  for (int i = 0; i < kProbes; ++i) {
-    const double f = f0 + (f1 - f0) * (static_cast<double>(i) + 0.5) / kProbes;
-    const auto rank = std::min<std::uint64_t>(
-        e.num_pages - 1,
-        static_cast<std::uint64_t>(f * static_cast<double>(e.num_pages)));
-    const bool on_dram =
-        sweep_index_
-            ? pages_->page_rank_on_dram(handles_[object], rank)
-            : pages_->page(e.first_page + rank).tier == hm::Tier::kDram;
-    if (on_dram) ++hits;
-  }
-  return static_cast<double>(hits) / kProbes;
-}
-
-double Engine::SweepDramFractionLanes(std::size_t object, double f0,
-                                      double f1) const {
-  // Callers (the lane builder) handle force-tier / hardware-cache modes;
-  // this is the normal-mode probe with the same clamps and probe formula.
   const hm::ObjectExtent& e = pages_->extent(handles_[object]);
   if (e.num_pages == 0) return 0.0;
   f0 = std::clamp(f0, 0.0, 1.0);
@@ -303,16 +236,13 @@ double Engine::SweepDramFractionLanes(std::size_t object, double f0,
   const std::uint64_t last = e.num_pages - 1;
   const double df = f1 - f0;
   std::uint64_t ranks[kProbes];
-  // Independent lanes (vectorizable); the probe expression is the scalar
-  // path's, operation for operation, including the integer cast.
+  // Independent lanes (vectorizable): probe i sits at the midpoint of the
+  // i-th of 16 equal slices of the window.
   for (int i = 0; i < kProbes; ++i) {
     const double f = f0 + df * (static_cast<double>(i) + 0.5) / kProbes;
     ranks[i] = std::min<std::uint64_t>(
         last, static_cast<std::uint64_t>(f * num_pages));
   }
-  // Ranks are monotonically non-decreasing, so runs of equal ranks — all
-  // 16 of them for objects smaller than the probe count — share one
-  // residency-bitset word lookup. The hit count is unchanged.
   const std::span<const std::uint64_t> bits =
       pages_->residency_bits(handles_[object]);
   std::uint64_t prev_rank = ranks[0];
@@ -330,55 +260,11 @@ double Engine::SweepDramFractionLanes(std::size_t object, double f0,
   return static_cast<double>(hits) / kProbes;
 }
 
-void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
-                               KernelBase* out) const {
-  base_builds_.fetch_add(1, std::memory_order_relaxed);
-  // Sweeping accesses see the placement of the pages they are about to
-  // touch; the lookahead window approximates one epoch's advance.
-  constexpr double kLookahead = 0.05;
-  out->costs.clear();
-  out->costs.reserve(kernel.accesses.size());
-  out->compute_seconds = kernel.compute_seconds;
-  double overlap_weight = 0, mm_total = 0;
-  for (const DerivedAccess& a : kernel.accesses) {
-    const double f =
-        a.sweeping
-            ? SweepDramFraction(a.object, progress,
-                                std::min(1.0, progress + kLookahead))
-            : ObjectDramFraction(a.object);
-    AccessCost cost;
-    for (int tier_i = 0; tier_i < 2; ++tier_i) {
-      const hm::Tier tier = tier_i == 0 ? hm::Tier::kDram : hm::Tier::kPm;
-      const double share = tier == hm::Tier::kDram ? f : 1.0 - f;
-      if (share <= 0) continue;
-      const double accesses = a.mm * share;
-      const double bytes = a.bytes * share;
-      const hm::TierSpec& spec = machine_.hm[tier];
-      const double bw = MixedBandwidthBytesPerSec(spec, a.read_fraction);
-      const double lat_ns = BlendedLatencyNs(spec, a.read_fraction,
-                                             a.sequential);
-      const double t_bw = bytes / bw;
-      const double t_lat = accesses * lat_ns * 1e-9 / a.mlp;
-      if (tier == hm::Tier::kDram) {
-        cost.t_dram = std::max(t_bw, t_lat);
-        cost.dram_bytes = bytes;
-      } else {
-        cost.t_pm = std::max(t_bw, t_lat);
-        cost.pm_bytes = bytes;
-      }
-    }
-    out->costs.push_back(cost);
-    overlap_weight += a.overlap * a.mm;
-    mm_total += a.mm;
-  }
-  out->overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
-}
-
 namespace {
 
-/// One lane of the branchless cost loop: exactly the scalar builder's FP
-/// sequence for both tiers. share == 0 degenerates to +0.0 everywhere,
-/// matching the scalar `share <= 0` skip that leaves the defaults.
+/// One lane of the branchless cost loop: both tiers' max(bandwidth,
+/// latency) time and bytes for DRAM share f. A zero share yields +0.0
+/// everywhere.
 inline void CostLane(double f, double mm, double bytes, double mlp,
                      double bw_dram, double bw_pm, double lat_dram,
                      double lat_pm, double* t_dram, double* t_pm,
@@ -401,31 +287,24 @@ inline void CostLane(double f, double mm, double bytes, double mlp,
 
 }  // namespace
 
-void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
-                                    double progress, KernelBase* out) const {
-  base_builds_.fetch_add(1, std::memory_order_relaxed);
-  constexpr double kLookahead = 0.05;
+void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
+                               KernelBase* out) {
+  ++counters_.base_builds;
   const LaneBlock& L = kernel.lanes;
   const std::size_t n = L.n;
   out->n = n;
   out->compute_seconds = kernel.compute_seconds;
   out->overlap = L.overlap;
   // Per-access DRAM fractions. The force-tier and hardware-cache modes
-  // collapse to a constant / direct array read for sweeping and
-  // non-sweeping lanes alike (SweepDramFraction's early-outs return the
-  // identical values), so only the normal mode probes residency.
+  // serve sweeping and non-sweeping lanes alike from ObjectDramFraction,
+  // so only the normal mode probes residency for sweep windows.
   double* f = L.f.data();
   const std::uint32_t* obj = L.object.data();
-  if (config_.force_tier.has_value()) {
-    const double c = *config_.force_tier == hm::Tier::kDram ? 1.0 : 0.0;
-    for (std::size_t i = 0; i < n; ++i) f[i] = c;
-  } else if (hw_cache_mode_) {
-    for (std::size_t i = 0; i < n; ++i) f[i] = hw_fraction_[obj[i]];
-  } else {
-    for (std::size_t i = 0; i < n; ++i) f[i] = dram_weight_[obj[i]];
+  for (std::size_t i = 0; i < n; ++i) f[i] = ObjectDramFraction(obj[i]);
+  if (!config_.force_tier.has_value() && !hw_cache_mode_) {
     const double p1 = std::min(1.0, progress + kLookahead);
     for (const std::uint32_t ix : L.sweep_ix) {
-      f[ix] = SweepDramFractionLanes(obj[ix], progress, p1);
+      f[ix] = SweepDramFraction(obj[ix], progress, p1);
     }
   }
   const double* mm = L.mm.data();
@@ -445,103 +324,76 @@ void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
     CostLane(f[i], mm[i], bytes[i], mlp[i], bw_d[i], bw_p[i], lat_d[i],
              lat_p[i], &td[i], &tp[i], &bd[i], &bp[i]);
   }
-  // Order-exact per-tier sums: four independent serial chains, each in
-  // the access order TimingFromBase's scalar fold uses.
-  double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    s_td += td[i];
-    s_tp += tp[i];
-    s_bd += bd[i];
-    s_bp += bp[i];
-  }
-  out->sum_t_dram = s_td;
-  out->sum_t_pm = s_tp;
-  out->sum_b_dram = s_bd;
-  out->sum_b_pm = s_bp;
+  SumLanes(out);
 }
 
-void Engine::PartialRefreshBaseLanes(const DerivedKernel& kernel,
-                                     double progress, KernelBase* out) const {
-  partial_refreshes_.fetch_add(1, std::memory_order_relaxed);
-  constexpr double kLookahead = 0.05;
-  const LaneBlock& L = kernel.lanes;
+void Engine::SumLanes(KernelBase* base) {
+  // Four independent serial chains, each in access order.
+  double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
+  for (std::size_t i = 0; i < base->n; ++i) {
+    s_td += base->t_dram[i];
+    s_tp += base->t_pm[i];
+    s_bd += base->b_dram[i];
+    s_bp += base->b_pm[i];
+  }
+  base->sum_t_dram = s_td;
+  base->sum_t_pm = s_tp;
+  base->sum_b_dram = s_bd;
+  base->sum_b_pm = s_bp;
+}
+
+void Engine::PartialRefreshBase(const DerivedKernel& kernel, double progress,
+                                KernelBase* out) {
+  ++counters_.partial_refreshes;
   // Placement is unchanged (the caller checked the version stamp), so
   // non-sweeping lanes and — in the force/hardware-cache modes — even the
   // sweeping ones would recompute to their current values; only normal-
   // mode sweep windows can move with progress.
-  if (!config_.force_tier.has_value() && !hw_cache_mode_) {
-    double* f = L.f.data();
-    const std::uint32_t* obj = L.object.data();
-    const double p1 = std::min(1.0, progress + kLookahead);
-    double* td = out->t_dram.data();
-    double* tp = out->t_pm.data();
-    double* bd = out->b_dram.data();
-    double* bp = out->b_pm.data();
-    for (const std::uint32_t ix : L.sweep_ix) {
-      f[ix] = SweepDramFractionLanes(obj[ix], progress, p1);
-      CostLane(f[ix], L.mm[ix], L.bytes[ix], L.mlp[ix], L.bw_dram[ix],
-               L.bw_pm[ix], L.lat_dram[ix], L.lat_pm[ix], &td[ix], &tp[ix],
-               &bd[ix], &bp[ix]);
-    }
-    const std::size_t n = out->n;
-    double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      s_td += td[i];
-      s_tp += tp[i];
-      s_bd += bd[i];
-      s_bp += bp[i];
-    }
-    out->sum_t_dram = s_td;
-    out->sum_t_pm = s_tp;
-    out->sum_b_dram = s_bd;
-    out->sum_b_pm = s_bp;
+  if (config_.force_tier.has_value() || hw_cache_mode_) return;
+  const LaneBlock& L = kernel.lanes;
+  double* f = L.f.data();
+  const std::uint32_t* obj = L.object.data();
+  const double p1 = std::min(1.0, progress + kLookahead);
+  double* td = out->t_dram.data();
+  double* tp = out->t_pm.data();
+  double* bd = out->b_dram.data();
+  double* bp = out->b_pm.data();
+  for (const std::uint32_t ix : L.sweep_ix) {
+    f[ix] = SweepDramFraction(obj[ix], progress, p1);
+    CostLane(f[ix], L.mm[ix], L.bytes[ix], L.mlp[ix], L.bw_dram[ix],
+             L.bw_pm[ix], L.lat_dram[ix], L.lat_pm[ix], &td[ix], &tp[ix],
+             &bd[ix], &bp[ix]);
   }
+  SumLanes(out);
 }
 
 Engine::KernelTiming Engine::TimingFromBase(const KernelBase& base,
                                             double lambda_dram,
-                                            double lambda_pm) const {
-  ++timing_evals_;
-  return TimingFromBaseImpl(base, lambda_dram, lambda_pm);
-}
-
-Engine::KernelTiming Engine::TimingFromBaseImpl(const KernelBase& base,
-                                                double lambda_dram,
-                                                double lambda_pm) const {
+                                            double lambda_pm) {
+  ++counters_.timing_evals;
+  // Processor-sharing contention: when aggregate demand exceeds the tier's
+  // service capacity, every request stream on that tier slows by the same
+  // factor (queueing inflates both bandwidth- and latency-bound service).
+  // This keeps the achieved aggregate rate at or below the physical peak.
+  // The factor is linear per access, which is exactly why the base is
+  // reusable across contention iterations. Bytes are lambda-independent
+  // (the build-time sums); times come from the sums when lambda == 1.0
+  // (t * 1.0 == t bitwise) and from an in-order fold otherwise.
   KernelTiming out;
+  out.dram_bytes = base.sum_b_dram;
+  out.pm_bytes = base.sum_b_pm;
   double dram_time = 0, pm_time = 0;
-  if (simd_) {
-    // Bytes are lambda-independent: the scalar fold's `+=` from zero in
-    // access order is exactly the build-time sum. Times match the fold
-    // through the sums when lambda == 1.0 (t * 1.0 == t bitwise), and
-    // through an in-order fold over the lanes otherwise.
-    out.dram_bytes = base.sum_b_dram;
-    out.pm_bytes = base.sum_b_pm;
-    if (lambda_dram == 1.0) {
-      dram_time = base.sum_t_dram;
-    } else {
-      const double* td = base.t_dram.data();
-      for (std::size_t i = 0; i < base.n; ++i) dram_time += td[i] * lambda_dram;
-    }
-    if (lambda_pm == 1.0) {
-      pm_time = base.sum_t_pm;
-    } else {
-      const double* tp = base.t_pm.data();
-      for (std::size_t i = 0; i < base.n; ++i) pm_time += tp[i] * lambda_pm;
-    }
+  if (lambda_dram == 1.0) {
+    dram_time = base.sum_t_dram;
   } else {
-    for (const AccessCost& c : base.costs) {
-      // Processor-sharing contention: when aggregate demand exceeds the
-      // tier's service capacity, every request stream on that tier slows
-      // by the same factor (queueing inflates both bandwidth- and
-      // latency-bound service). This keeps the achieved aggregate rate at
-      // or below the physical peak. The factor is linear per access, which
-      // is exactly why the base is reusable across contention iterations.
-      dram_time += c.t_dram * lambda_dram;
-      out.dram_bytes += c.dram_bytes;
-      pm_time += c.t_pm * lambda_pm;
-      out.pm_bytes += c.pm_bytes;
-    }
+    const double* td = base.t_dram.data();
+    for (std::size_t i = 0; i < base.n; ++i) dram_time += td[i] * lambda_dram;
+  }
+  if (lambda_pm == 1.0) {
+    pm_time = base.sum_t_pm;
+  } else {
+    const double* tp = base.t_pm.data();
+    for (std::size_t i = 0; i < base.n; ++i) pm_time += tp[i] * lambda_pm;
   }
   const double memory = dram_time + pm_time;
   const double compute = base.compute_seconds;
@@ -550,13 +402,6 @@ Engine::KernelTiming Engine::TimingFromBaseImpl(const KernelBase& base,
   out.seconds = std::max(out.seconds, 1e-12);
   out.memory_seconds = out.seconds - compute > 0 ? out.seconds - compute : 0;
   return out;
-}
-
-Engine::KernelTiming Engine::TimeKernel(const DerivedKernel& kernel,
-                                        double progress, double lambda_dram,
-                                        double lambda_pm) const {
-  ComputeKernelBase(kernel, progress, &scratch_base_);
-  return TimingFromBase(scratch_base_, lambda_dram, lambda_pm);
 }
 
 bool Engine::BaseValid(const TaskRuntime& rt) const {
@@ -571,18 +416,14 @@ bool Engine::BaseValid(const TaskRuntime& rt) const {
 void Engine::BuildBase(TaskRuntime& rt) {
   const DerivedKernel& dk = rt.kernels[rt.kernel_index];
   KernelBase& b = rt.base;
-  if (simd_) {
-    // When only the progress window moved (same kernel, same placement
-    // stamp), non-sweeping lanes recompute to their current values — skip
-    // them and refresh just the sweep lanes; bitwise equal to a full
-    // rebuild.
-    const bool sweep_only = b.valid && b.kernel_index == rt.kernel_index &&
-                            b.placement_version == placement_version_;
-    if (sweep_only) {
-      PartialRefreshBaseLanes(dk, rt.kernel_fraction, &b);
-    } else {
-      ComputeKernelBaseLanes(dk, rt.kernel_fraction, &b);
-    }
+  // When only the progress window moved (same kernel, same placement
+  // stamp), non-sweeping lanes recompute to their current values — skip
+  // them and refresh just the sweep lanes; bitwise equal to a full
+  // rebuild.
+  const bool sweep_only = b.valid && b.kernel_index == rt.kernel_index &&
+                          b.placement_version == placement_version_;
+  if (sweep_only) {
+    PartialRefreshBase(dk, rt.kernel_fraction, &b);
   } else {
     ComputeKernelBase(dk, rt.kernel_fraction, &b);
   }
@@ -592,75 +433,10 @@ void Engine::BuildBase(TaskRuntime& rt) {
   b.placement_version = placement_version_;
 }
 
-bool Engine::ParallelFanOutAllowed() const {
-  if (config_.timing_fanout_min_lanes == 0) return true;  // forced by tests
-  static const unsigned hw_threads = std::thread::hardware_concurrency();
-  return hw_threads != 1;
-}
-
 void Engine::RefreshKernelBases() {
-  rebuild_.clear();
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    if (!running_[i].done && !BaseValid(running_[i])) rebuild_.push_back(i);
+  for (TaskRuntime& rt : running_) {
+    if (!rt.done && !BaseValid(rt)) BuildBase(rt);
   }
-  if (rebuild_.empty()) return;
-  if (pool_ == nullptr || rebuild_.size() == 1 || !ParallelFanOutAllowed()) {
-    for (const std::size_t i : rebuild_) BuildBase(running_[i]);
-    return;
-  }
-  // Static chunking: each worker writes only its own tasks' bases, reading
-  // placement state that no one mutates mid-epoch; any later reduction
-  // over the bases is serial in task order, so pool width cannot change a
-  // single result bit.
-  const std::size_t chunks = std::min(pool_->thread_count(), rebuild_.size());
-  std::latch pending(static_cast<std::ptrdiff_t>(chunks));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = rebuild_.size() * c / chunks;
-    const std::size_t end = rebuild_.size() * (c + 1) / chunks;
-    const bool accepted = pool_->Submit([this, begin, end, &pending] {
-      for (std::size_t k = begin; k < end; ++k) BuildBase(running_[rebuild_[k]]);
-      pending.count_down();
-    });
-    if (!accepted) {  // pool shut down (not reachable mid-run); stay serial
-      for (std::size_t k = begin; k < end; ++k) BuildBase(running_[rebuild_[k]]);
-      pending.count_down();
-    }
-  }
-  pending.wait();
-}
-
-void Engine::ParallelTimings(double lambda_dram, double lambda_pm) {
-  // Same static-chunk discipline as RefreshKernelBases: each worker writes
-  // only its own timing_ slots from quiescent bases; the demand reduction
-  // that follows is serial in task order on the caller, so pool width
-  // cannot change a bit. Evaluations are accounted here, serially.
-  const std::size_t chunks = std::min(pool_->thread_count(), running_.size());
-  std::latch pending(static_cast<std::ptrdiff_t>(chunks));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = running_.size() * c / chunks;
-    const std::size_t end = running_.size() * (c + 1) / chunks;
-    const bool accepted =
-        pool_->Submit([this, begin, end, lambda_dram, lambda_pm, &pending] {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!running_[i].done) {
-              timing_[i] =
-                  TimingFromBaseImpl(running_[i].base, lambda_dram, lambda_pm);
-            }
-          }
-          pending.count_down();
-        });
-    if (!accepted) {  // pool shut down (not reachable mid-run); stay serial
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!running_[i].done) {
-          timing_[i] =
-              TimingFromBaseImpl(running_[i].base, lambda_dram, lambda_pm);
-        }
-      }
-      pending.count_down();
-    }
-  }
-  pending.wait();
-  timing_evals_ += live_tasks_;
 }
 
 void Engine::BuildRegionRuntime(const Region& region) {
@@ -670,11 +446,18 @@ void Engine::BuildRegionRuntime(const Region& region) {
   for (const TaskProgram& tp : region.tasks) {
     TaskRuntime rt;
     rt.task = tp.task;
-    rt.program = &tp;
     rt.kernels.reserve(tp.kernels.size());
+    std::size_t width = 0;
     for (const Kernel& k : tp.kernels) {
       rt.kernels.push_back(DeriveKernel(k, region));
+      width = std::max(width, k.accesses.size());
     }
+    // One SoA cost table per task, sized for its widest kernel; rebuilds
+    // overwrite it in place, so the epoch loop never touches the heap.
+    rt.base.t_dram = arena_.AllocSpan<double>(width);
+    rt.base.t_pm = arena_.AllocSpan<double>(width);
+    rt.base.b_dram = arena_.AllocSpan<double>(width);
+    rt.base.b_pm = arena_.AllocSpan<double>(width);
     rt.stats.task = tp.task;
     rt.stats.object_program_accesses.assign(workload_->objects.size(), 0.0);
     rt.stats.object_mm_accesses.assign(workload_->objects.size(), 0.0);
@@ -682,35 +465,8 @@ void Engine::BuildRegionRuntime(const Region& region) {
     rt.stats.agg.core_ghz = machine_.core_ghz;
     running_.push_back(std::move(rt));
   }
-  // Region-level fan-out bound: per task, the widest kernel's access count
-  // is the most lanes its base can ever hold, so the sum bounds every
-  // epoch's active-lane count from above. StepEpoch uses it to skip the
-  // per-epoch counting loop when the gate's outcome is already decided.
-  region_lane_bound_ = 0;
-  for (const TaskRuntime& rt : running_) {
-    std::size_t width = 0;
-    for (const DerivedKernel& dk : rt.kernels) {
-      width = std::max(width, dk.accesses.size());
-    }
-    region_lane_bound_ += width;
-  }
-  if (simd_) {
-    // One SoA cost table per task, sized for its widest kernel; rebuilds
-    // overwrite it in place, so the epoch loop never touches the heap.
-    for (TaskRuntime& rt : running_) {
-      std::size_t width = 0;
-      for (const DerivedKernel& dk : rt.kernels) {
-        width = std::max(width, dk.accesses.size());
-      }
-      rt.base.t_dram = arena_.AllocSpan<double>(width);
-      rt.base.t_pm = arena_.AllocSpan<double>(width);
-      rt.base.b_dram = arena_.AllocSpan<double>(width);
-      rt.base.b_pm = arena_.AllocSpan<double>(width);
-    }
-  }
   live_tasks_ = running_.size();
   timing_.assign(running_.size(), KernelTiming{});
-  rebuild_.reserve(running_.size());
 }
 
 void Engine::CollectMigrationTraffic() {
@@ -722,7 +478,7 @@ void Engine::CollectMigrationTraffic() {
 void Engine::StepEpoch() {
   MERCH_TRACE_SPAN_VAR(epoch_span, obs::Category::kSim, "engine.epoch");
   const double dt = config_.epoch_seconds;
-  ++epochs_;
+  ++counters_.epochs;
   epoch_span.set_arg("live_tasks", static_cast<std::int64_t>(live_tasks_));
 
   // Any migrations policies performed since the last epoch become traffic.
@@ -732,52 +488,20 @@ void Engine::StepEpoch() {
 
   // Placement and sweep windows are fixed for the whole epoch, so one base
   // per task serves every timing evaluation below.
-  if (timing_memo_) RefreshKernelBases();
+  RefreshKernelBases();
 
   // Fixed-point contention resolution.
   double lambda_dram = 1.0, lambda_pm = 1.0;
   timing_at_final_lambda_ = false;
-  bool fan_out = pool_ != nullptr && timing_memo_ &&
-                 live_tasks_ >= kParallelTimingMinTasks &&
-                 ParallelFanOutAllowed();
-  if (fan_out && config_.timing_fanout_min_lanes > 0) {
-    if (region_lane_bound_ < config_.timing_fanout_min_lanes) {
-      // The region-wide lane bound already rules the gate out: the active
-      // count can never exceed it, so skip the per-epoch counting loop.
-      fan_out = false;
-    } else {
-      // Fan out only when one iteration's serial evaluation work dwarfs a
-      // pool round trip; either path computes bitwise-identical timings.
-      std::size_t lanes = 0;
-      for (const TaskRuntime& rt : running_) {
-        if (rt.done) continue;
-        lanes += simd_ ? rt.base.n : rt.base.costs.size();
-      }
-      fan_out = lanes >= config_.timing_fanout_min_lanes;
-    }
-  }
   for (int iter = 0; iter < 8; ++iter) {
     double demand_dram = migration_rate + background_dram_rate_;
     double demand_pm = migration_rate + background_pm_rate_;
-    if (fan_out) {
-      ParallelTimings(lambda_dram, lambda_pm);
-      for (std::size_t i = 0; i < running_.size(); ++i) {
-        if (running_[i].done) continue;
-        demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
-        demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
-      }
-    } else {
-      for (std::size_t i = 0; i < running_.size(); ++i) {
-        TaskRuntime& rt = running_[i];
-        if (rt.done) continue;
-        timing_[i] = timing_memo_
-                         ? TimingFromBase(rt.base, lambda_dram, lambda_pm)
-                         : TimeKernel(rt.kernels[rt.kernel_index],
-                                      rt.kernel_fraction, lambda_dram,
-                                      lambda_pm);
-        demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
-        demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
-      }
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+      TaskRuntime& rt = running_[i];
+      if (rt.done) continue;
+      timing_[i] = TimingFromBase(rt.base, lambda_dram, lambda_pm);
+      demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
+      demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
     }
     // Multiplicative update: demand was computed *under* the current
     // lambdas, so scaling them by achieved-demand/capacity converges to
@@ -796,7 +520,7 @@ void Engine::StepEpoch() {
       lambda_pm = next_pm;
       break;
     }
-    if (simd_ && next_dram == lambda_dram && next_pm == lambda_pm) {
+    if (next_dram == lambda_dram && next_pm == lambda_pm) {
       // iter == 0 with bitwise-unchanged lambdas (the uncontended common
       // case; iter >= 1 hits the break above): the next iteration would
       // recompute identical timings and demands, then break with the same
@@ -819,23 +543,17 @@ void Engine::StepEpoch() {
       const DerivedKernel& dk = rt.kernels[rt.kernel_index];
       // The first slice reuses the epoch's base directly; later slices
       // (kernel boundary or sweep progress inside the epoch) rebuild it.
-      KernelTiming kt;
-      if (timing_memo_) {
-        if (!BaseValid(rt)) {
-          BuildBase(rt);
-          first_slice = false;  // timing_[i] predates this base
-        }
-        if (simd_ && timing_at_final_lambda_ && first_slice) {
-          // The fixed point ended on exactly the lambdas timing_[i] was
-          // evaluated at, and the base is untouched since: re-evaluating
-          // would reproduce timing_[i] bit for bit.
-          kt = timing_[i];
-        } else {
-          kt = TimingFromBase(rt.base, lambda_dram, lambda_pm);
-        }
-      } else {
-        kt = TimeKernel(dk, rt.kernel_fraction, lambda_dram, lambda_pm);
+      if (!BaseValid(rt)) {
+        BuildBase(rt);
+        first_slice = false;  // timing_[i] predates this base
       }
+      // When the fixed point ended on exactly the lambdas timing_[i] was
+      // evaluated at and the base is untouched since, re-evaluating would
+      // reproduce timing_[i] bit for bit.
+      const KernelTiming kt =
+          timing_at_final_lambda_ && first_slice
+              ? timing_[i]
+              : TimingFromBase(rt.base, lambda_dram, lambda_pm);
       first_slice = false;
       const double remaining = (1.0 - rt.kernel_fraction) * kt.seconds;
       const double advance = std::min(remaining, dt_left);
@@ -976,10 +694,10 @@ SimResult Engine::Run() {
   // One registry update per run, so the hot loops above never touch the
   // shared counters: the memo hit ratio is timing_evals vs base_builds.
   MERCH_METRIC_COUNT("merch_engine_runs_total", 1);
-  MERCH_METRIC_COUNT("merch_engine_epochs_total", epochs_);
-  MERCH_METRIC_COUNT("merch_engine_timing_evals_total", timing_evals_);
-  MERCH_METRIC_COUNT("merch_engine_base_builds_total",
-                     base_builds_.load(std::memory_order_relaxed));
+  MERCH_METRIC_COUNT("merch_engine_epochs_total", counters_.epochs);
+  MERCH_METRIC_COUNT("merch_engine_timing_evals_total",
+                     counters_.timing_evals);
+  MERCH_METRIC_COUNT("merch_engine_base_builds_total", counters_.base_builds);
 
   SimResult result;
   result.policy = policy_ != nullptr

@@ -10,34 +10,25 @@
 // slowest task — the paper's central observation is that placement must
 // optimise *that*, not individual task speed.
 //
-// Hot-path structure: a kernel's timing under contention factors
-// (lambda_dram, lambda_pm) is linear in the lambdas per access, so the
-// engine splits TimeKernel into a lambda-independent per-access cost table
-// (KernelBase: the expensive part — residency probes, bandwidth blends,
-// latency math) and an O(#accesses) fused multiply-add application. The
-// base is memoized per task and invalidated only when the task's kernel,
-// its sweep window, or any page placement changed since it was built; the
-// fixed-point iterations and the advance pass then reuse one base instead
-// of re-evaluating TimeKernel up to 9x per task per epoch. Base rebuilds
-// are independent per task and may be spread over a service::ThreadPool
-// (SimConfig::timing_threads); every reduction stays serial in task order,
-// so results are bit-identical at any width and with memoization or the
-// residency index disabled (tests/engine_equiv_test.cc enforces this).
-//
-// On top of the memo sits the lane-structured fast path (MERCH_SIMD, see
-// DESIGN.md §5): DeriveKernel hoists every placement-independent per-access
-// term (mixed bandwidths, blended latencies, the mm-weighted overlap) into
-// stride-1 SoA arrays once per region, base rebuilds run a branchless
-// vectorizable loop over those lanes (sweep-only partial rebuilds when only
-// the progress window moved), TimingFromBase serves the uncontended
-// lambda == 1 case from order-exact per-tier sums, and the contention
-// fixed point both skips iterations whose lambdas are bitwise unchanged
-// and fans TimingFromBase over the pool. Every shortcut recomputes the
-// exact FP operation sequence of the scalar path (or skips work whose
-// recomputation would be a bitwise no-op), so results stay identical.
+// Hot-path structure (DESIGN.md §5): a kernel's timing under contention
+// factors (lambda_dram, lambda_pm) is linear in the lambdas per access, so
+// the engine splits it into a lambda-independent per-access cost table
+// (KernelBase: residency probes, bandwidth blends, latency math) and an
+// O(#accesses) multiply-add application (TimingFromBase). DeriveKernel
+// hoists every placement-independent per-access term (mixed bandwidths,
+// blended latencies, the mm-weighted overlap) into stride-1 SoA lanes once
+// per region, carved from a region-scoped bump arena. The base is memoized
+// per task and rebuilt only when the task's kernel, its sweep window, or
+// any page placement changed since it was built; when only the sweep
+// window moved, just the sweeping lanes are refreshed. TimingFromBase
+// serves the uncontended lambda == 1 case from order-exact per-tier sums,
+// and the contention fixed point skips iterations whose lambdas are
+// bitwise unchanged. Each shortcut either recomputes the exact FP
+// operation sequence of a from-scratch evaluation or skips work whose
+// recomputation would be a bitwise no-op; tests/engine_equiv_test.cc pins
+// the results to digests recorded from an unmemoized, linear-scan engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -47,7 +38,6 @@
 #include "common/rng.h"
 #include "hm/migration.h"
 #include "hm/page_table.h"
-#include "service/thread_pool.h"
 #include "sim/arena.h"
 #include "sim/machine.h"
 #include "sim/oracle.h"
@@ -73,54 +63,28 @@ struct SimConfig {
   /// Homogeneous-run override: serve every access from this tier,
   /// ignoring capacity (used to obtain T_dram_only / T_pm_only bounds).
   std::optional<hm::Tier> force_tier;
-  /// Threads refreshing per-task timing bases each epoch (1 = serial in
-  /// the caller). Bit-identical results at any width.
-  std::size_t timing_threads = 1;
-  /// Minimum total active cost-table lanes across live tasks before an
-  /// epoch's fixed-point arbitration fans out to the timing pool. Below
-  /// this, one iteration's serial work is smaller than a pool
-  /// dispatch+join round trip and fanning out only adds latency; the
-  /// serial and parallel evaluations are bit-identical, so the gate is a
-  /// pure scheduling heuristic. When active (> 0) it also refuses to fan
-  /// out on a single-hardware-thread host. Tests set 0 to force the
-  /// parallel path unconditionally.
-  std::size_t timing_fanout_min_lanes = 8192;
-  /// Escape hatches, overridable by the MERCH_SWEEP_INDEX and
-  /// MERCH_ENGINE_MEMO environment variables ("0"/"off"/"false" disables):
-  /// serve SweepDramFraction probes from the page table's O(1) residency
-  /// bitset, and memoize per-task timing bases across the epoch loop.
-  /// Both off reproduces the pre-index engine's cost profile; results are
-  /// identical either way (bench/engine_speed measures the gap).
-  bool sweep_index = true;
-  bool timing_memo = true;
-  /// MERCH_SIMD: the lane-structured (SoA) cost kernels, partial sweep
-  /// rebuilds, order-exact sum shortcuts, and fixed-point iteration
-  /// skipping. Builds on the memoized-base layout, so it is only effective
-  /// when sweep_index and timing_memo are also on. MERCH_ARENA: back the
-  /// lane scratch with the region-scoped bump arena instead of individual
-  /// heap blocks. Results are bit-identical in every combination.
-  bool simd = true;
-  bool arena = true;
 };
 
-/// Monotonic hot-path counters (bench/engine_speed reads these).
+/// Monotonic hot-path counters (bench/engine_speed and perfbench read
+/// these).
 struct EngineCounters {
   std::uint64_t epochs = 0;
   /// KernelTiming evaluations requested (fixed-point + advance passes).
   std::uint64_t timing_evals = 0;
-  /// Full per-access cost-table builds (the expensive evaluations; with
-  /// memoization this is the small fraction of timing_evals not served
-  /// from a cached base).
+  /// Full per-access cost-table builds: the small fraction of
+  /// timing_evals not served from a memoized base.
   std::uint64_t base_builds = 0;
-  /// Sweep-only partial base refreshes (MERCH_SIMD): rebuilds that touched
-  /// only the sweeping lanes because placement was unchanged and only the
-  /// progress window moved.
+  /// Sweep-only partial base refreshes: rebuilds that touched only the
+  /// sweeping lanes because placement was unchanged and only the progress
+  /// window moved.
   std::uint64_t partial_refreshes = 0;
 };
 
 class Engine {
  public:
-  /// `policy` may be null (homogeneous/force-tier runs only).
+  /// `policy` may be null (homogeneous/force-tier runs only). Throws
+  /// std::invalid_argument when a workload object does not fit the
+  /// machine's tiers at the configured page size.
   Engine(const Workload& workload, const MachineSpec& machine,
          SimConfig config, PlacementPolicy* policy);
 
@@ -140,29 +104,23 @@ class Engine {
   void SetHwDramFraction(std::size_t object, double fraction);
   void AddBackgroundTraffic(double bytes_on_pm, double bytes_on_dram);
 
-  EngineCounters counters() const;
+  EngineCounters counters() const { return counters_; }
 
  private:
   struct DerivedAccess {
     std::size_t object = 0;
-    trace::AccessPattern pattern = trace::AccessPattern::kStream;
     double program = 0;        // program-level accesses
     double mm = 0;             // main-memory accesses
-    double bytes = 0;          // mm * line size
-    double read_fraction = 1.0;
-    double mlp = 1.0;
     double overlap = 0.0;
     double prefetch_miss = 0.0;
-    bool sequential = true;
     bool sweeping = true;
     double l2_misses = 0;
   };
-  /// Stride-1 per-access lanes for the SIMD base builder (MERCH_SIMD).
-  /// Everything placement-independent is hoisted here once per region by
-  /// DeriveKernel — with the exact FP operation sequence the scalar
-  /// builder uses per rebuild — so ComputeKernelBaseLanes is a branchless
-  /// loop over contiguous doubles. Arena-backed; valid until the next
-  /// region's BuildRegionRuntime.
+  /// Stride-1 per-access lanes for the base builder. Everything
+  /// placement-independent is hoisted here once per region by
+  /// DeriveKernel, so ComputeKernelBase is a branchless loop over
+  /// contiguous doubles. Arena-backed; valid until the next region's
+  /// BuildRegionRuntime.
   struct LaneBlock {
     std::size_t n = 0;
     std::span<double> mm;        // main-memory accesses
@@ -175,7 +133,7 @@ class Engine {
     std::span<double> f;         // scratch: per-access DRAM fraction
     std::span<std::uint32_t> object;
     std::span<std::uint32_t> sweep_ix;  // indices of sweeping accesses
-    double overlap = 0;  // mm-weighted overlap (scalar builder's order)
+    double overlap = 0;  // mm-weighted overlap, folded in access order
   };
   struct DerivedKernel {
     double compute_seconds = 0;
@@ -184,7 +142,7 @@ class Engine {
     double vector_instructions = 0;
     bool has_sweep = false;  // any sweeping access (timing depends on progress)
     std::vector<DerivedAccess> accesses;
-    LaneBlock lanes;  // populated only when the SIMD path is active
+    LaneBlock lanes;
   };
   struct KernelTiming {
     double seconds = 0;    // contended kernel duration
@@ -192,27 +150,18 @@ class Engine {
     double pm_bytes = 0;
     double memory_seconds = 0;  // unhidden memory time
   };
-  /// Lambda-independent per-access tier costs: TimeKernel's inner loop
-  /// with the contention factor divided out.
-  struct AccessCost {
-    double t_dram = 0;     // max(bandwidth, latency) seconds at lambda == 1
-    double t_pm = 0;
-    double dram_bytes = 0;
-    double pm_bytes = 0;
-  };
-  /// Memoized expensive half of TimeKernel, tagged with the inputs it was
-  /// built from so staleness is detectable. The scalar path fills `costs`;
-  /// the SIMD path fills the SoA spans (capacity = the task's widest
-  /// kernel, arena-backed) plus order-exact per-tier sums that serve the
-  /// uncontended lambda == 1 evaluations directly.
+  /// Memoized lambda-independent half of a kernel timing, tagged with the
+  /// inputs it was built from so staleness is detectable. The SoA spans
+  /// (capacity = the task's widest kernel, arena-backed) hold per-access
+  /// tier costs at lambda == 1; the order-exact per-tier sums serve the
+  /// uncontended evaluations directly.
   struct KernelBase {
-    std::vector<AccessCost> costs;
-    std::span<double> t_dram;  // SIMD lanes (n = active access count)
+    std::span<double> t_dram;  // max(bandwidth, latency) seconds per access
     std::span<double> t_pm;
-    std::span<double> b_dram;
+    std::span<double> b_dram;  // bytes per access and tier
     std::span<double> b_pm;
-    std::size_t n = 0;
-    double sum_t_dram = 0;  // serial in-order sums over the lanes
+    std::size_t n = 0;         // active access count
+    double sum_t_dram = 0;     // serial in-order sums over the lanes
     double sum_t_pm = 0;
     double sum_b_dram = 0;
     double sum_b_pm = 0;
@@ -225,7 +174,6 @@ class Engine {
   };
   struct TaskRuntime {
     TaskId task = kInvalidTask;
-    const TaskProgram* program = nullptr;
     std::vector<DerivedKernel> kernels;
     std::size_t kernel_index = 0;
     double kernel_fraction = 0;  // progress within current kernel
@@ -237,68 +185,37 @@ class Engine {
 
   void RegisterObjects();
   void BuildRegionRuntime(const Region& region);
-  /// Non-const: the SIMD path carves the kernel's LaneBlock out of arena_.
+  /// Non-const: carves the kernel's LaneBlock out of arena_.
   DerivedKernel DeriveKernel(const Kernel& kernel, const Region& region);
-  /// Contended duration of `kernel` under contention factors, evaluated at
-  /// the given sweep progress (sequential accesses only benefit from DRAM
-  /// pages in the upcoming rank window; see trace::PatternTraits::sweeping).
-  /// Equivalent to ComputeKernelBase + TimingFromBase; the unmemoized path.
-  KernelTiming TimeKernel(const DerivedKernel& kernel, double progress,
-                          double lambda_dram, double lambda_pm) const;
-
-  /// The expensive, lambda-independent half of TimeKernel: residency
-  /// lookups, bandwidth blends, latency math. Thread-safe for concurrent
-  /// distinct `out` (reads only placement state that is quiescent during
-  /// an epoch).
+  /// The expensive, lambda-independent half of a kernel timing, evaluated
+  /// at the given sweep progress (sequential accesses only benefit from
+  /// DRAM pages in the upcoming rank window; see
+  /// trace::PatternTraits::sweeping): residency probes plus a branchless
+  /// stride-1 cost loop and the order-exact per-tier sums.
   void ComputeKernelBase(const DerivedKernel& kernel, double progress,
-                         KernelBase* out) const;
-  /// SIMD variant of ComputeKernelBase over the kernel's LaneBlock:
-  /// branchless stride-1 cost loop plus the order-exact per-tier sums.
-  /// Bitwise equal to the scalar builder (DESIGN.md §5).
-  void ComputeKernelBaseLanes(const DerivedKernel& kernel, double progress,
-                              KernelBase* out) const;
+                         KernelBase* out);
+  /// Order-exact per-tier sums over the base's active lanes.
+  static void SumLanes(KernelBase* base);
   /// Recompute only the sweeping lanes of a base whose placement stamp is
   /// current (only the progress window moved). Non-sweeping lanes cannot
   /// have changed, so this equals a full rebuild bit for bit.
-  void PartialRefreshBaseLanes(const DerivedKernel& kernel, double progress,
-                               KernelBase* out) const;
+  void PartialRefreshBase(const DerivedKernel& kernel, double progress,
+                          KernelBase* out);
   /// The cheap half: apply contention factors to a prepared base.
-  /// Bit-identical to evaluating TimeKernel with the base's inputs.
   KernelTiming TimingFromBase(const KernelBase& base, double lambda_dram,
-                              double lambda_pm) const;
-  /// TimingFromBase without the counter bump: the pure function the
-  /// parallel arbitration workers call (they may not touch mutable
-  /// engine state; the caller accounts evaluations serially).
-  KernelTiming TimingFromBaseImpl(const KernelBase& base, double lambda_dram,
-                                  double lambda_pm) const;
+                              double lambda_pm);
   bool BaseValid(const TaskRuntime& rt) const;
   void BuildBase(TaskRuntime& rt);
-  /// Scheduling heuristic shared by the base refresh and the fixed-point
-  /// fan-out: parallel dispatch is pointless on a single-hardware-thread
-  /// host, where workers can only timeshare the core the serial path
-  /// already owns. timing_fanout_min_lanes = 0 (the equivalence tests)
-  /// forces fan-out regardless. Both paths are bit-identical either way.
-  bool ParallelFanOutAllowed() const;
-  /// Rebuild every live task's stale base, across timing_threads workers
-  /// when a pool exists.
+  /// Rebuild every live task's stale base.
   void RefreshKernelBases();
-  /// Evaluate timing_[i] for every live task at the given lambdas over the
-  /// pool (static chunks, deterministic per-slot writes). Falls back to
-  /// the caller's serial loop below the fan-out threshold.
-  void ParallelTimings(double lambda_dram, double lambda_pm);
 
   /// Fraction of pages in the rank window [f0, f1) of `object` resident on
-  /// DRAM (probed at fixed stride; exact for prefix placements). Each
-  /// probe is an O(1) residency-bitset lookup (page-tier probe with the
-  /// index disabled).
+  /// DRAM, from 16 probes at fixed stride (exact for prefix placements).
+  /// Probe ranks are monotonically non-decreasing, so runs of equal ranks
+  /// — all 16 for objects smaller than the probe count — share one
+  /// residency-bitset lookup. Normal placement mode only; the base
+  /// builder handles the force-tier and hardware-cache modes.
   double SweepDramFraction(std::size_t object, double f0, double f1) const;
-  /// SIMD-path SweepDramFraction: the same 16 probe ranks (vectorizable
-  /// batch computation), but consecutive equal ranks — the common case for
-  /// small objects, since ranks are monotonically non-decreasing — reuse
-  /// one bitset lookup. Identical hit count by construction; requires the
-  /// residency index (guaranteed by the simd_ resolution rule).
-  double SweepDramFractionLanes(std::size_t object, double f0,
-                                double f1) const;
   /// One epoch: contention fixed point, task advancement, telemetry.
   void StepEpoch();
   /// A profiling interval boundary: the policy's OnInterval, then reset the
@@ -319,18 +236,12 @@ class Engine {
   std::unique_ptr<hm::MigrationEngine> migration_;
   std::unique_ptr<AccessOracle> oracle_;
   std::unique_ptr<SimContext> ctx_;
-  std::unique_ptr<service::ThreadPool> pool_;  // timing_threads > 1 only
 
   std::vector<ObjectId> handles_;
   std::vector<double> dram_weight_;   // heat-weighted DRAM fraction / object
   std::vector<double> hw_fraction_;   // hardware-cache mode fractions
   bool hw_cache_mode_ = false;
-  bool sweep_index_ = true;           // resolved sweep_index escape hatch
-  bool timing_memo_ = true;           // resolved timing_memo escape hatch
-  /// Resolved MERCH_SIMD, and-ed with the hatches it builds on: the lane
-  /// path needs the memoized-base layout and the residency index.
-  bool simd_ = true;
-  EpochArena arena_{true};            // mode resolved from MERCH_ARENA
+  EpochArena arena_;
 
   /// Bumped on every page move and hardware-fraction update; memoized
   /// bases referencing an older version are stale.
@@ -341,22 +252,12 @@ class Engine {
   std::size_t region_index_ = 0;
   std::vector<TaskRuntime> running_;
   std::size_t live_tasks_ = 0;        // not-done entries of running_
-  /// Upper bound on active cost-table lanes for the current region (sum of
-  /// each task's widest kernel). When it cannot reach
-  /// timing_fanout_min_lanes, the per-epoch active-lane count is skipped
-  /// outright — the gate's decision is already known.
-  std::size_t region_lane_bound_ = 0;
 
   std::vector<KernelTiming> timing_;  // per-task scratch, hoisted off StepEpoch
-  std::vector<std::size_t> rebuild_;  // stale-base indices, reused per epoch
   std::vector<RegionStats> history_;
   std::vector<BandwidthSample> bandwidth_;
 
-  mutable KernelBase scratch_base_;   // unmemoized TimeKernel scratch
-  mutable std::uint64_t epochs_ = 0;
-  mutable std::uint64_t timing_evals_ = 0;
-  mutable std::atomic<std::uint64_t> base_builds_{0};  // workers increment
-  mutable std::atomic<std::uint64_t> partial_refreshes_{0};
+  EngineCounters counters_;
   /// Set by the fixed point when the final lambdas are bitwise the ones
   /// timing_ was last evaluated at (exact convergence), letting the
   /// advance pass reuse timing_[i] for each task's first slice.

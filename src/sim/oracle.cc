@@ -9,12 +9,10 @@ namespace merch::sim {
 
 AccessOracle::AccessOracle(const Workload& workload,
                            const hm::PageTable& pages,
-                           std::vector<ObjectId> object_handles,
-                           bool linear_lookup)
+                           std::vector<ObjectId> object_handles)
     : workload_(&workload),
       pages_(&pages),
-      handles_(std::move(object_handles)),
-      linear_lookup_(linear_lookup) {
+      handles_(std::move(object_handles)) {
   assert(handles_.size() == workload.objects.size());
   const auto tasks = workload.TaskIds();
   max_task_ = tasks.empty() ? 0 : tasks.back() + 1;
@@ -97,14 +95,6 @@ double AccessOracle::ObjectLifetimeAccesses(std::size_t object) const {
 std::uint64_t AccessOracle::num_pages() const { return pages_->num_pages(); }
 
 std::size_t AccessOracle::LocateObject(PageId p) const {
-  if (linear_lookup_) {
-    // Pre-index cost profile: scan every extent (bench baseline only).
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      const hm::ObjectExtent& e = pages_->extent(handles_[i]);
-      if (p >= e.first_page && p < e.first_page + e.num_pages) return i;
-    }
-    return std::numeric_limits<std::size_t>::max();
-  }
   // One-entry memo: consecutive probes usually land in the same extent.
   if (last_located_ < handles_.size()) {
     const hm::ObjectExtent& e = pages_->extent(handles_[last_located_]);
@@ -129,20 +119,17 @@ double AccessOracle::EpochAccesses(PageId p) const {
   const std::size_t obj = LocateObject(p);
   if (obj == std::numeric_limits<std::size_t>::max()) return 0.0;
   // Idle-object short cut (bit-identical: zero static accesses times any
-  // page fraction is exactly +0.0, and there are no windows to add). The
-  // legacy cost profile keeps the full heat-profile evaluation.
-  if (!linear_lookup_ && epoch_by_object_[obj] == 0.0 &&
-      sweeps_by_object_[obj].empty()) {
+  // page fraction is exactly +0.0, and there are no windows to add).
+  if (epoch_by_object_[obj] == 0.0 && sweeps_by_object_[obj].empty()) {
     return 0.0;
   }
   const hm::ObjectExtent& e = pages_->extent(handles_[obj]);
   const std::uint64_t idx = p - e.first_page;
   // Swept-but-statically-idle objects skip the heat-profile evaluation:
-  // zero times any finite positive fraction is exactly +0.0. The legacy
-  // cost profile keeps the full evaluation.
+  // zero times any finite positive fraction is exactly +0.0.
   const double stat = epoch_by_object_[obj];
   double sum =
-      (!linear_lookup_ && stat == 0.0)
+      stat == 0.0
           ? 0.0
           : stat * workload_->objects[obj].heat.PageFraction(idx, e.num_pages);
   // Sweep windows: this page's rank interval is [idx/n, (idx+1)/n);
@@ -163,12 +150,6 @@ double AccessOracle::EpochAccesses(PageId p) const {
 void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
                                       std::span<double> out) const {
   const std::size_t n = pages.size();
-  if (linear_lookup_) {
-    // Pre-index cost profile (bench baseline): keep the per-probe extent
-    // scan; run hoisting would hide exactly the cost being measured.
-    for (std::size_t k = 0; k < n; ++k) out[k] = EpochAccesses(pages[k]);
-    return;
-  }
   std::size_t i = 0;
   while (i < n) {
     const std::size_t obj = LocateObject(pages[i]);
@@ -183,7 +164,7 @@ void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
     while (j < n && pages[j] >= e.first_page && pages[j] < end) ++j;
     const double stat = epoch_by_object_[obj];
     const auto& windows = sweeps_by_object_[obj];
-    if (!linear_lookup_ && stat == 0.0 && windows.empty()) {
+    if (stat == 0.0 && windows.empty()) {
       for (; i < j; ++i) out[i] = 0.0;  // idle object: whole run is zero
       continue;
     }
@@ -192,7 +173,7 @@ void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
     // Uniform heat gives every page the same fraction (PageFraction
     // returns 1.0/n verbatim), so the static product hoists out of the
     // loop with identical bits. Zipf stays per-page (pow of the rank).
-    const bool skip_static = !linear_lookup_ && stat == 0.0;
+    const bool skip_static = stat == 0.0;
     const bool uniform = heat.kind() == trace::HeatProfile::Kind::kUniform;
     const double uniform_static =
         (skip_static || !uniform) ? 0.0 : stat * (1.0 / np);
@@ -274,9 +255,7 @@ double AccessOracle::EpochAccessesFloor(PageId p) const {
 }
 
 hm::Tier AccessOracle::PageTier(PageId p) const {
-  // Legacy mode loads from the strided PageEntry array (the pre-index
-  // memory layout); the default is the dense tier byte array.
-  return linear_lookup_ ? pages_->page(p).tier : pages_->page_tier(p);
+  return pages_->page_tier(p);
 }
 
 ObjectId AccessOracle::PageObject(PageId p) const {

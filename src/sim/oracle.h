@@ -19,12 +19,8 @@ namespace merch::sim {
 
 class AccessOracle final : public trace::PageAccessSource {
  public:
-  /// `linear_lookup` replaces the O(log n) page->object binary search with
-  /// the pre-index linear extent scan — only for benchmarking the legacy
-  /// engine's cost profile (bench/engine_speed); results are identical.
   AccessOracle(const Workload& workload, const hm::PageTable& pages,
-               std::vector<ObjectId> object_handles,
-               bool linear_lookup = false);
+               std::vector<ObjectId> object_handles);
 
   /// Record `mm_accesses` main-memory accesses by `task` to workload object
   /// index `object` during the current interval, distributed over pages by
@@ -84,15 +80,14 @@ class AccessOracle final : public trace::PageAccessSource {
   /// one-entry memo of the last located object: page probes arrive in
   /// runs within one extent (profiler scans, eviction gathers), so most
   /// calls skip the binary search. Not thread-safe — every caller
-  /// (profilers, policies, the engine's serial advance loop) runs on the
-  /// simulation thread; the parallel timing path never locates pages.
+  /// (profilers, policies, the engine's advance loop) runs on the
+  /// simulation thread.
   std::size_t LocateObject(PageId p) const;
 
   const Workload* workload_;
   const hm::PageTable* pages_;
   std::vector<ObjectId> handles_;         // workload index -> PageTable id
   std::vector<std::size_t> index_of_handle_;  // PageTable id -> workload index
-  bool linear_lookup_ = false;
   mutable std::size_t last_located_ = SIZE_MAX;  // LocateObject memo
   std::vector<double> epoch_by_object_;   // static-heat portion
   std::vector<std::vector<SweepWindow>> sweeps_by_object_;

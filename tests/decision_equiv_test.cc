@@ -120,8 +120,9 @@ TEST(FlatForest, RfrBatchMatchesPointerWalkExactly) {
 /// The 4-lane walk's edge cases: a batch size that is not a multiple of
 /// the lane width (the tail rows take the remainder path), NaN features
 /// (x <= t is false, so the walk takes the right child — same as the
-/// scalar comparison), and denormal features. Both lane settings must be
-/// bitwise equal to the per-tree pointer walk.
+/// scalar comparison), and denormal features. The batched walk and the
+/// one-row walk (PredictOne) must both be bitwise equal to the per-tree
+/// pointer walk.
 TEST(FlatForest, LaneBoundaryNanAndDenormalRowsMatchScalar) {
   std::mt19937_64 rng(17);
   constexpr std::size_t kFeatures = 5;
@@ -139,17 +140,14 @@ TEST(FlatForest, LaneBoundaryNanAndDenormalRowsMatchScalar) {
   rows[4 * kFeatures + 1] = -std::numeric_limits<double>::denorm_min();
   rows[6 * kFeatures + 4] = std::numeric_limits<double>::quiet_NaN();
 
-  ml::FlatForest forest = gbr.flat_forest();  // mutable copy: toggle lanes
-  std::vector<double> lanes_on(kRows), lanes_off(kRows);
-  forest.simd = true;
-  forest.PredictBatch(rows, kFeatures, lanes_on);
-  forest.simd = false;
-  forest.PredictBatch(rows, kFeatures, lanes_off);
+  const ml::FlatForest& forest = gbr.flat_forest();
+  std::vector<double> batch(kRows);
+  forest.PredictBatch(rows, kFeatures, batch);
   for (std::size_t i = 0; i < kRows; ++i) {
     const std::span<const double> row(rows.data() + i * kFeatures, kFeatures);
     const double scalar = gbr.Predict(row);
-    ASSERT_EQ(scalar, lanes_on[i]) << "lanes row " << i;
-    ASSERT_EQ(scalar, lanes_off[i]) << "scalar-batch row " << i;
+    ASSERT_EQ(scalar, batch[i]) << "batch row " << i;
+    ASSERT_EQ(scalar, forest.PredictOne(row)) << "one-row walk, row " << i;
   }
 }
 

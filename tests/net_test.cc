@@ -448,6 +448,26 @@ TEST(Server, InvalidRequestTravelsAsResultError) {
   EXPECT_NE(remote.error.find("unknown application"), std::string::npos);
 }
 
+TEST(Server, UnfittableScaleAnswersErrorAndServerStaysUp) {
+  ServerFixture fx;
+  // At scale 1e-9 no object fits one page of the scaled tiers; the engine
+  // rejects the workload and the server must answer, not crash.
+  for (const char* policy : {"pm", "merch"}) {
+    const service::PlacementRequest req = MakeRequest("SpGEMM", policy, 1e-9);
+    service::PlacementResult remote;
+    net::ErrorCode code;
+    std::string err;
+    ASSERT_EQ(fx.client_.Call(req, 0, &remote, &code, &err),
+              net::Client::Status::kOk)
+        << err;
+    EXPECT_FALSE(remote.ok()) << policy;
+    EXPECT_NE(remote.error.find("does not fit"), std::string::npos)
+        << remote.error;
+  }
+  std::string err;
+  EXPECT_EQ(fx.client_.Ping(&err), net::Client::Status::kOk) << err;
+}
+
 TEST(Server, PingPong) {
   ServerFixture fx;
   std::string err;

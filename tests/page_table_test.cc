@@ -1,6 +1,8 @@
 // Unit tests for the simulated page table (hm/page_table.h).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "hm/page_table.h"
@@ -157,24 +159,13 @@ TEST(PageTable, RankResidencyMirrorsPageTiers) {
   ASSERT_TRUE(a);
   pt.MoveHottest(*a, 2, Tier::kDram);
   pt.MovePage(4, Tier::kDram);
+  const std::span<const std::uint64_t> bits = pt.residency_bits(*a);
+  ASSERT_EQ(bits.size(), 1u);
   for (std::uint64_t r = 0; r < 6; ++r) {
-    EXPECT_EQ(pt.page_rank_on_dram(*a, r),
+    EXPECT_EQ(((bits[0] >> r) & 1u) != 0,
               pt.page_tier(pt.extent(*a).first_page + r) == Tier::kDram);
   }
-}
-
-TEST(PageTable, DramPagesInRankRange) {
-  PageTable pt(SmallSpec(), 4096);
-  const auto a = pt.RegisterObject(4096 * 8, Tier::kPm);
-  ASSERT_TRUE(a);
-  pt.MovePage(1, Tier::kDram);
-  pt.MovePage(2, Tier::kDram);
-  pt.MovePage(6, Tier::kDram);
-  EXPECT_EQ(pt.dram_pages_in_rank_range(*a, 0, 8), 3u);
-  EXPECT_EQ(pt.dram_pages_in_rank_range(*a, 1, 3), 2u);
-  EXPECT_EQ(pt.dram_pages_in_rank_range(*a, 3, 6), 0u);
-  EXPECT_EQ(pt.dram_pages_in_rank_range(*a, 4, 4), 0u);  // empty range
-  EXPECT_EQ(pt.dram_pages_in_rank_range(*a, 6, 99), 1u);  // clamped end
+  EXPECT_EQ(bits[0] >> 6, 0u);  // past-end ranks stay clear
 }
 
 TEST(PageTable, FindRankWalksResidency) {
@@ -193,20 +184,55 @@ TEST(PageTable, FindRankWalksResidency) {
   EXPECT_EQ(pt.FindRankBefore(*a, 0, false), 8u);  // empty prefix
 }
 
+/// Brute-force references for the bulk moves: the first `k` pages of the
+/// extent [first, first + n) not on `to`, from the hot end (MoveHottest),
+/// or on `from`, from the cold end (EvictColdest).
+std::vector<PageId> ReferenceHottest(const PageTable& pt, PageId first,
+                                     std::uint64_t n, std::uint64_t k,
+                                     Tier to) {
+  std::vector<PageId> out;
+  for (PageId p = first; p < first + n && out.size() < k; ++p) {
+    if (pt.page_tier(p) != to) out.push_back(p);
+  }
+  return out;
+}
+
+std::vector<PageId> ReferenceColdest(const PageTable& pt, PageId first,
+                                     std::uint64_t n, std::uint64_t k,
+                                     Tier from) {
+  std::vector<PageId> out;
+  for (PageId p = first + n; p > first && out.size() < k; --p) {
+    if (pt.page_tier(p - 1) == from) out.push_back(p - 1);
+  }
+  return out;
+}
+
 TEST(PageTable, LegacyScanMatchesIndexedOps) {
-  PageTable fast(SmallSpec(), 4096);
-  PageTable legacy(SmallSpec(), 4096);
-  legacy.set_legacy_scan(true);
-  for (PageTable* pt : {&fast, &legacy}) {
-    ASSERT_TRUE(pt->RegisterObject(4096 * 7, Tier::kPm));
-    pt->MoveHottest(0, 3, Tier::kDram);
-    pt->MovePage(5, Tier::kDram);
-    pt->EvictColdest(0, 2, Tier::kDram);
+  PageTable pt(SmallSpec(), 4096);
+  ASSERT_TRUE(pt.RegisterObject(4096 * 7, Tier::kPm));
+  std::vector<PageId> moved;
+  pt.SetMoveListener([&](PageId p, Tier, Tier) { moved.push_back(p); });
+
+  std::vector<PageId> want = ReferenceHottest(pt, 0, 7, 3, Tier::kDram);
+  EXPECT_EQ(pt.MoveHottest(0, 3, Tier::kDram), want.size());
+  EXPECT_EQ(moved, want);  // 0, 1, 2
+
+  pt.MovePage(5, Tier::kDram);
+  moved.clear();
+  want = ReferenceColdest(pt, 0, 7, 2, Tier::kDram);
+  EXPECT_EQ(pt.EvictColdest(0, 2, Tier::kDram), want.size());
+  EXPECT_EQ(moved, want);  // 5, 2
+
+  // A hot-end pass skips pages already on the target tier.
+  moved.clear();
+  want = ReferenceHottest(pt, 0, 7, 4, Tier::kDram);
+  EXPECT_EQ(pt.MoveHottest(0, 4, Tier::kDram), want.size());
+  EXPECT_EQ(moved, want);  // 2, 3, 4, 5
+  for (PageId p = 0; p < pt.num_pages(); ++p) {
+    EXPECT_EQ(pt.page_tier(p), p < 6 ? Tier::kDram : Tier::kPm) << p;
   }
-  for (PageId p = 0; p < fast.num_pages(); ++p) {
-    EXPECT_EQ(fast.page_tier(p), legacy.page_tier(p));
-  }
-  EXPECT_EQ(fast.ObjectOfPage(4), legacy.ObjectOfPage(4));
+  EXPECT_EQ(pt.ObjectOfPage(4), std::optional<ObjectId>(0));
+  EXPECT_EQ(pt.ObjectOfPage(7), std::nullopt);
 }
 
 TEST(PageTable, MoveListenerObservesMoves) {

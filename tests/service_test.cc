@@ -4,12 +4,15 @@
 // return bit-identical results whether it simulates on 1 thread or 8).
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/registry.h"
+#include "core/merchandiser.h"
 #include "service/batch.h"
 #include "service/placement_service.h"
 #include "service/request.h"
@@ -259,6 +262,40 @@ TEST(PlacementService, InvalidRequestYieldsReadyErrorFuture) {
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("unknown application"), std::string::npos);
   EXPECT_EQ(svc.Stats().failed, 1u);
+}
+
+/// The small end of the scale domain: a footprint scaled until objects no
+/// longer fit one page of the scaled tiers must come back as a valid
+/// result or a clear error, never a crash (the engine throws
+/// std::invalid_argument naming the object; RunRequest reports it).
+TEST(PlacementService, TinyScalesGiveAResultOrAnError) {
+  workloads::TrainingConfig training;
+  training.num_regions = 4;
+  const core::MerchandiserSystem system =
+      core::MerchandiserSystem::Train(training);
+  for (const std::string& app : apps::AppNames()) {
+    for (const char* policy : {"pm", "merch"}) {
+      for (const double scale : {1e-6, 1e-9}) {
+        PlacementRequest req{app, policy, scale, 0.05, 4, 42};
+        ASSERT_EQ(CanonicalizeRequest(req), "");
+        const PlacementResult r =
+            PlacementService::RunRequest(req, &system, nullptr);
+        SCOPED_TRACE(app + "/" + policy + " @ " + std::to_string(scale));
+        if (r.ok()) {
+          EXPECT_TRUE(std::isfinite(r.makespan_seconds));
+          EXPECT_GT(r.makespan_seconds, 0);
+          EXPECT_FALSE(r.placements.empty());
+        } else {
+          EXPECT_NE(r.error.find("does not fit"), std::string::npos)
+              << r.error;
+        }
+        // Nothing fits a page of a 1e-9-scaled machine.
+        if (scale == 1e-9) {
+          EXPECT_FALSE(r.ok());
+        }
+      }
+    }
+  }
 }
 
 TEST(PlacementService, CoalescesConcurrentDuplicatesIntoOneSimulation) {

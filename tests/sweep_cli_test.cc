@@ -4,7 +4,8 @@
 // real binary both ways and require the outputs byte-identical after
 // dropping the two wall-clock lines ("pass N: ... in X.XXs" and the
 // "service:" stats line, whose coalesced/cached counters legitimately
-// differ between submission paths).
+// differ between submission paths). `merchctl run` on a workload that
+// does not fit the scaled machine must be a bad request, not a crash.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -49,6 +50,17 @@ std::string Answers(const std::string& output) {
     kept += '\n';
   }
   return kept;
+}
+
+TEST(RunCli, UnfittableScaleExitsTwoWithMessage) {
+  // At scale 1e-6 the merch policy's homogeneous bound runs use 2 MiB
+  // pages, which no longer fit the scaled tiers.
+  const CmdResult r = RunCtl(
+      "run --app SpGEMM --policy merch --scale 1e-6 --train-regions 4 2>&1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("merchctl: workload object"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("does not fit"), std::string::npos) << r.output;
 }
 
 TEST(SweepCli, FusedAndUnfusedAnswersAreByteIdentical) {

@@ -3,12 +3,13 @@
 //   bench_diff <baseline.json> <current.json> [--threshold F]
 //
 // Joins the two files' "runs" arrays on (app, policy, scale, dram_quota,
-// variant) and prints every matched run's speedup delta, then compares
-// every top-level aggregate whose name ends in "speedup". Exits 1 if any
-// aggregate regressed by more than the threshold (default 0.10 = 10%),
-// 2 on usage/parse errors. Runs only present on one side are listed but
-// never gate — a bench gaining or losing a variant rung must not fail the
-// diff. CI redirects stdout to an artifact.
+// variant) and prints every matched run's median wall-clock delta, then
+// compares every top-level aggregate of the baseline whose name ends in
+// "speedup". Exits 1 if any such aggregate regressed by more than the
+// threshold (default 0.10 = 10%) or is missing from the current file — a
+// gate whose number disappeared must not pass — and 2 on usage/parse
+// errors. Runs only present on one side are listed but never gate. CI
+// redirects stdout to an artifact.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +44,13 @@ std::string RunKey(const obs::JsonValue& run) {
                 NumberField(run, "dram_quota", 1.0),
                 StringField(run, "variant").c_str());
   return buf;
+}
+
+/// A run's median wall seconds; rows written before medians were
+/// recorded fall back to their single sample.
+double MedianWall(const obs::JsonValue& run) {
+  return NumberField(run, "wall_median_seconds",
+                     NumberField(run, "wall_seconds"));
 }
 
 bool LoadJson(const char* path, obs::JsonValue* out) {
@@ -105,10 +113,10 @@ int main(int argc, char** argv) {
   if (!LoadJson(baseline_path, &baseline) || !LoadJson(current_path, &current))
     return 2;
 
-  // Per-run speedup deltas (informational).
+  // Per-run median wall-clock deltas (informational).
   const obs::JsonValue* base_runs = baseline.Find("runs");
   const obs::JsonValue* cur_runs = current.Find("runs");
-  std::printf("== per-run speedup deltas (current vs baseline) ==\n");
+  std::printf("== per-run median wall seconds (baseline -> current) ==\n");
   std::size_t matched = 0, only_current = 0;
   if (base_runs != nullptr && base_runs->is_array() && cur_runs != nullptr &&
       cur_runs->is_array()) {
@@ -126,9 +134,9 @@ int main(int argc, char** argv) {
         ++only_current;
         continue;
       }
-      const double bs = NumberField(*base, "speedup");
-      const double cs = NumberField(cur, "speedup");
-      std::printf("  %-55s  %7.3fx -> %7.3fx  (%+.1f%%)\n", key.c_str(), bs,
+      const double bs = MedianWall(*base);
+      const double cs = MedianWall(cur);
+      std::printf("  %-55s  %9.4fs -> %9.4fs  (%+.1f%%)\n", key.c_str(), bs,
                   cs, bs > 0 ? 100.0 * (cs - bs) / bs : 0.0);
       ++matched;
     }
@@ -147,15 +155,16 @@ int main(int argc, char** argv) {
   }
   std::printf("matched %zu run(s), %zu new\n\n", matched, only_current);
 
-  // Aggregate gate: every top-level *speedup number present in BOTH files.
+  // Aggregate gate: every top-level *speedup number of the baseline.
   std::printf("== aggregate gate (threshold %.0f%%) ==\n", 100.0 * threshold);
   int regressions = 0;
   for (const auto& [name, value] : baseline.fields) {
     if (!EndsWith(name, "speedup") || !value.is_number()) continue;
     const obs::JsonValue* cur = current.Find(name);
     if (cur == nullptr || !cur->is_number()) {
-      std::printf("  %-40s  baseline %.3fx, missing from current — SKIP\n",
+      std::printf("  %-40s  baseline %.3fx, missing from current  MISSING\n",
                   name.c_str(), value.number);
+      ++regressions;
       continue;
     }
     const bool regressed = cur->number < value.number * (1.0 - threshold);
@@ -164,8 +173,8 @@ int main(int argc, char** argv) {
     if (regressed) ++regressions;
   }
   if (regressions > 0) {
-    std::printf("\n%d aggregate(s) regressed beyond %.0f%%\n", regressions,
-                100.0 * threshold);
+    std::printf("\n%d aggregate(s) regressed beyond %.0f%% or missing\n",
+                regressions, 100.0 * threshold);
     return 1;
   }
   std::printf("\nno aggregate regression\n");

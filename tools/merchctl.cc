@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -640,7 +641,14 @@ int main(int argc, char** argv) {
 
   int rc;
   if (opt.command == "run") {
-    rc = RunCommand(opt);
+    // A workload that does not fit the scaled machine is a bad request
+    // (the engine throws std::invalid_argument naming the object).
+    try {
+      rc = RunCommand(opt);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "merchctl: %s\n", e.what());
+      rc = 2;
+    }
   } else if (opt.command == "sweep") {
     rc = SweepCommand(opt);
   } else if (opt.command == "analyze") {
