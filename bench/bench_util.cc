@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "baselines/memory_mode_policy.h"
@@ -16,6 +17,10 @@ RepeatTiming MeasureRepeated(int repeats,
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(repeats));
   for (int i = 0; i < repeats; ++i) samples.push_back(sample());
+  return Summarize(std::move(samples));
+}
+
+RepeatTiming Summarize(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   const auto quantile = [&](double q) {
     const double h = q * static_cast<double>(samples.size() - 1);
@@ -25,7 +30,7 @@ RepeatTiming MeasureRepeated(int repeats,
            (h - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
   };
   RepeatTiming t;
-  t.repeats = repeats;
+  t.repeats = static_cast<int>(samples.size());
   t.min_seconds = samples.front();
   const std::size_t mid = samples.size() / 2;
   t.median_seconds = samples.size() % 2 == 1

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/registry.h"
 #include "core/merchandiser.h"
@@ -31,6 +32,9 @@ struct RepeatTiming {
 /// wall-clock sample in seconds.
 RepeatTiming MeasureRepeated(int repeats,
                              const std::function<double()>& sample);
+
+/// The same summary over samples already taken (at least one).
+RepeatTiming Summarize(std::vector<double> samples);
 
 /// The evaluation machine (paper Section 7).
 sim::MachineSpec PaperMachine();

@@ -78,7 +78,7 @@ std::size_t TaskGraph::IndexOf(TaskId t) const {
   return SIZE_MAX;
 }
 
-TaskGraph BuildTaskGraph(const Module& module, ModuleSummary summary) {
+TaskGraph BuildTaskGraph(const Module& /*module*/, ModuleSummary summary) {
   TaskGraph g;
   g.summary = std::move(summary);
   const std::size_t n = g.summary.tasks.size();

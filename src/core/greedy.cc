@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
-#include <queue>
-
-#include "common/env.h"
-#include "obs/metrics.h"
+#include <optional>
 
 namespace merch::core {
 namespace {
@@ -32,14 +28,35 @@ std::uint64_t MapToPages(double r, const GreedyTaskInput& task) {
   return static_cast<std::uint64_t>(std::ceil(prev_p));
 }
 
-/// The pre-PR decision loop: per-round full rescans and one scalar model
-/// evaluation per probe. Kept verbatim as the reference implementation;
-/// RunGreedyHeap below must match it bit for bit
-/// (tests/decision_equiv_test.cc).
-GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
-                             std::uint64_t dram_capacity_pages,
-                             const PerformanceModel& model,
-                             GreedyConfig config) {
+/// Per-task evaluation state: the correlation function specialized on the
+/// task's PMCs (CorrelationProfile — tree ensembles collapse to a
+/// piecewise-constant function of r, so a probe costs a binary search).
+/// Predict replicates PredictHybrid operation for operation — same clamp,
+/// same r >= 1 shortcut, shared Combine — so it is bitwise equal to the
+/// scalar call, including on the profile's scalar fallback.
+class TaskEvaluator {
+ public:
+  TaskEvaluator(const GreedyTaskInput& task, const PerformanceModel& model)
+      : task_(&task), profile_(model.correlation().MakeProfile(task.pmcs)) {}
+
+  double Predict(double r) const {
+    const double rc = std::clamp(r, 0.0, 1.0);
+    if (rc >= 1.0) return task_->t_dram_only;
+    return PerformanceModel::Combine(task_->t_pm_only, task_->t_dram_only, rc,
+                                     profile_.Evaluate(rc));
+  }
+
+ private:
+  const GreedyTaskInput* task_;
+  CorrelationProfile profile_;
+};
+
+}  // namespace
+
+GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
+                                 std::uint64_t dram_capacity_pages,
+                                 const PerformanceModel& model,
+                                 GreedyConfig config) {
   const std::size_t n = tasks.size();
   GreedyResult result;
   result.dram_fraction.assign(n, 0.0);
@@ -51,17 +68,16 @@ GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
   for (std::size_t i = 0; i < n; ++i) {
     result.predicted_seconds[i] = tasks[i].t_pm_only;
   }
-
-  auto pages_used = [&]() {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t p : result.dram_pages) sum += p;
-    return sum;
-  };
+  // Evaluators are built lazily — a task that never becomes the longest
+  // never pays for its profile.
+  std::vector<std::optional<TaskEvaluator>> evals(n);
+  std::uint64_t pages_used = 0;
 
   for (int round = 0; round < config.max_rounds; ++round) {
     result.rounds = round + 1;
 
-    // Line 10: longest task. Line 11: second-longest execution time.
+    // Line 10: longest task (ties go to the lower index). Line 11:
+    // second-longest execution time.
     std::size_t longest = 0;
     for (std::size_t i = 1; i < n; ++i) {
       if (result.predicted_seconds[i] > result.predicted_seconds[longest]) {
@@ -82,13 +98,15 @@ GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
 
     // Lines 13-16: grow the longest task's DRAM accesses in `step`
     // increments until it is predicted to dip below the second-longest.
+    // r advances by repeated addition, so later rounds' probes bitwise
+    // extend earlier ones.
+    if (!evals[longest]) evals[longest].emplace(tasks[longest], model);
+    const TaskEvaluator& ev = *evals[longest];
     double r = result.dram_fraction[longest];
     double predicted = result.predicted_seconds[longest];
     do {
       r = std::min(1.0, r + config.step);
-      predicted = model.PredictHybrid(tasks[longest].t_pm_only,
-                                      tasks[longest].t_dram_only,
-                                      tasks[longest].pmcs, r);
+      predicted = ev.Predict(r);
     } while (predicted > second && r < 1.0 - 1e-9);
 
     // Lines 17-18: commit and map to a page budget.
@@ -96,7 +114,7 @@ GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
 
     // Line 19 (capacity guard): if this allocation overflows DRAM, claw the
     // increase back one step at a time until it fits, then stop.
-    std::uint64_t others = pages_used() - result.dram_pages[longest];
+    const std::uint64_t others = pages_used - result.dram_pages[longest];
     double fitted_r = r;
     std::uint64_t fitted_pages = new_pages;
     while (fitted_r > result.dram_fraction[longest] &&
@@ -110,10 +128,11 @@ GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
       break;  // no headroom at all
     }
     result.dram_fraction[longest] = fitted_r;
+    pages_used = others + fitted_pages;
     result.dram_pages[longest] = fitted_pages;
-    result.predicted_seconds[longest] = model.PredictHybrid(
-        tasks[longest].t_pm_only, tasks[longest].t_dram_only,
-        tasks[longest].pmcs, fitted_r);
+    // Without a claw-back the commit point is the last probe.
+    result.predicted_seconds[longest] =
+        fitted_r == r ? predicted : ev.Predict(fitted_r);
     if (capacity_hit) break;
 
     bool all_full = true;
@@ -126,186 +145,6 @@ GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
     if (all_full) break;
   }
   return result;
-}
-
-// ------------------------------------------------------------ heap path
-
-/// Heap entry with lazy deletion: an entry is live iff its version equals
-/// the task's current version. The comparator totally orders entries as
-/// the rescan's strict-`>` argmax does: larger predicted time wins, equal
-/// times go to the lower index.
-struct HeapEntry {
-  double seconds = 0;
-  std::size_t index = 0;
-  std::uint64_t version = 0;
-};
-
-struct HeapLess {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.seconds != b.seconds) return a.seconds < b.seconds;
-    return a.index > b.index;
-  }
-};
-
-/// Per-task evaluation state: the correlation function specialized on the
-/// task's PMCs (CorrelationProfile — tree ensembles collapse to a
-/// piecewise-constant function of r, so each probe costs a binary search
-/// plus at most one lazy interval fill). Predict replicates PredictHybrid
-/// operation for operation — same clamp, same r >= 1 shortcut, shared
-/// Combine — so it is bitwise equal to the rescan's scalar call. Models
-/// without a specialization (MERCH_FLAT_FOREST=0) fall back to scalar
-/// PredictHybrid behind an exact-bits r -> prediction memo, which cannot
-/// change results — the same r always maps to the same double.
-class TaskEvaluator {
- public:
-  TaskEvaluator(const GreedyTaskInput& task, const PerformanceModel& model)
-      : task_(&task), model_(&model),
-        profile_(model.correlation().MakeProfile(task.pmcs)) {
-    if (!profile_.specialized()) memo_.reserve(64);
-  }
-
-  double Predict(double r) {
-    if (profile_.specialized()) {
-      const double rc = std::clamp(r, 0.0, 1.0);
-      if (rc >= 1.0) return task_->t_dram_only;
-      return PerformanceModel::Combine(task_->t_pm_only, task_->t_dram_only,
-                                       rc, profile_.Evaluate(rc));
-    }
-    const std::uint64_t key = std::bit_cast<std::uint64_t>(r);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    const double v = model_->PredictHybrid(task_->t_pm_only,
-                                           task_->t_dram_only, task_->pmcs, r);
-    memo_.emplace(key, v);
-    return v;
-  }
-
- private:
-  const GreedyTaskInput* task_;
-  const PerformanceModel* model_;
-  CorrelationProfile profile_;
-  std::unordered_map<std::uint64_t, double> memo_;  // fallback path only
-};
-
-/// Incremental Algorithm 1. Structure per round mirrors the rescan
-/// exactly — same probe recurrence (r = min(1, r + step) by repeated
-/// addition, so later rounds' grids bitwise extend earlier ones), same
-/// claw-back, same break conditions — with O(log n) longest/second
-/// selection, a running page total, and chunk-batched model probes.
-GreedyResult RunGreedyHeap(std::span<const GreedyTaskInput> tasks,
-                           std::uint64_t dram_capacity_pages,
-                           const PerformanceModel& model,
-                           GreedyConfig config) {
-  const std::size_t n = tasks.size();
-  GreedyResult result;
-  result.dram_fraction.assign(n, 0.0);
-  result.dram_pages.assign(n, 0);
-  result.predicted_seconds.resize(n);
-  if (n == 0) return result;
-
-  // Evaluators are built lazily — a task that never becomes the longest
-  // never pays for its feature prefix or memo.
-  std::vector<std::unique_ptr<TaskEvaluator>> evals(n);
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
-  std::vector<std::uint64_t> version(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.predicted_seconds[i] = tasks[i].t_pm_only;
-    heap.push(HeapEntry{result.predicted_seconds[i], i, 0});
-  }
-  std::uint64_t total_pages = 0;
-  std::size_t full_count = 0;  // tasks with dram_fraction >= 1 - 1e-9
-  std::uint64_t heap_pops = 0;
-
-  for (int round = 0; round < config.max_rounds; ++round) {
-    result.rounds = round + 1;
-
-    // Longest task: pop past dead entries to the live maximum.
-    HeapEntry top;
-    for (;;) {
-      top = heap.top();
-      heap.pop();
-      ++heap_pops;
-      if (top.version == version[top.index]) break;
-    }
-    const std::size_t longest = top.index;
-
-    // Second-longest: the next live entry (the rescan's scan starts its
-    // max at 0, so clamp from below).
-    double second = 0;
-    if (n == 1) {
-      second = tasks[0].t_dram_only;  // single task: run to the bound
-    } else {
-      while (!heap.empty() &&
-             heap.top().version != version[heap.top().index]) {
-        heap.pop();
-        ++heap_pops;
-      }
-      if (!heap.empty()) second = std::max(0.0, heap.top().seconds);
-    }
-
-    if (result.dram_fraction[longest] >= 1.0 - 1e-9) break;
-
-    // The rescan's probe recurrence, verbatim (r = min(1, r + step) by
-    // repeated addition, so later rounds' probes bitwise extend earlier
-    // ones); each probe is a specialized-profile lookup instead of a full
-    // model evaluation.
-    double r = result.dram_fraction[longest];
-    double predicted = result.predicted_seconds[longest];
-    if (!evals[longest]) {
-      evals[longest] =
-          std::make_unique<TaskEvaluator>(tasks[longest], model);
-    }
-    TaskEvaluator& ev = *evals[longest];
-    do {
-      r = std::min(1.0, r + config.step);
-      predicted = ev.Predict(r);
-    } while (predicted > second && r < 1.0 - 1e-9);
-    (void)predicted;
-
-    const std::uint64_t new_pages = MapToPages(r, tasks[longest]);
-
-    const std::uint64_t others = total_pages - result.dram_pages[longest];
-    double fitted_r = r;
-    std::uint64_t fitted_pages = new_pages;
-    while (fitted_r > result.dram_fraction[longest] &&
-           others + fitted_pages > dram_capacity_pages) {
-      fitted_r =
-          std::max(result.dram_fraction[longest], fitted_r - config.step);
-      fitted_pages = MapToPages(fitted_r, tasks[longest]);
-    }
-    const bool capacity_hit = fitted_r < r - 1e-12;
-
-    if (fitted_r <= result.dram_fraction[longest] + 1e-12 && capacity_hit) {
-      break;  // no headroom at all
-    }
-    result.dram_fraction[longest] = fitted_r;
-    total_pages -= result.dram_pages[longest];
-    total_pages += fitted_pages;
-    result.dram_pages[longest] = fitted_pages;
-    // Commit re-evaluation hits the profile's interval cache when the
-    // commit point is the last probe (the common case).
-    const double committed = ev.Predict(fitted_r);
-    result.predicted_seconds[longest] = committed;
-    if (fitted_r >= 1.0 - 1e-9) ++full_count;
-    if (capacity_hit) break;
-
-    heap.push(HeapEntry{committed, longest, ++version[longest]});
-    if (full_count == n) break;
-  }
-  MERCH_METRIC_COUNT("merch_core_greedy_heap_pops_total", heap_pops);
-  return result;
-}
-
-}  // namespace
-
-GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
-                                 std::uint64_t dram_capacity_pages,
-                                 const PerformanceModel& model,
-                                 GreedyConfig config) {
-  if (common::EnvToggle("MERCH_GREEDY_HEAP", config.incremental)) {
-    return RunGreedyHeap(tasks, dram_capacity_pages, model, config);
-  }
-  return RunGreedyRescan(tasks, dram_capacity_pages, model, config);
 }
 
 // ---------------------------------------------------- GreedyResultCache

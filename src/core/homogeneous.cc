@@ -1,5 +1,6 @@
 #include "core/homogeneous.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <set>
@@ -22,24 +23,34 @@ double SimilarityScale(const std::vector<std::uint64_t>& base_sizes,
 }
 
 HomogeneousPredictor HomogeneousPredictor::Prepare(
-    const sim::Workload& workload, const sim::MachineSpec& machine,
-    std::size_t base_region) {
-  assert(base_region < workload.regions.size());
+    const sim::Workload& workload, const sim::MachineSpec& machine) {
+  assert(!workload.regions.empty());
   // Offline measurement workload: just the base region.
   sim::Workload base;
   base.name = workload.name + "_base";
   base.objects = workload.objects;
-  base.regions.push_back(workload.regions[base_region]);
+  base.regions.push_back(workload.regions.front());
 
   sim::SimConfig cfg;
   cfg.interval_seconds = 1e9;
+  // A forced tier times every access on that tier wherever its page sits,
+  // so tier capacity only decides whether the objects can be registered.
+  // Give PM room for all of them at this run's page size: a footprint that
+  // fits the real run's (smaller) pages must not fail here.
+  sim::MachineSpec roomy = machine;
+  std::uint64_t need = 0;
+  for (const sim::ObjectDecl& o : base.objects) {
+    need += (o.bytes + cfg.page_bytes - 1) / cfg.page_bytes * cfg.page_bytes;
+  }
+  std::uint64_t& pm_capacity = roomy.hm[hm::Tier::kPm].capacity_bytes;
+  pm_capacity = std::max(pm_capacity, need);
   const sim::SimResult pm =
-      sim::SimulateHomogeneous(base, machine, hm::Tier::kPm, cfg);
+      sim::SimulateHomogeneous(base, roomy, hm::Tier::kPm, cfg);
   const sim::SimResult dram =
-      sim::SimulateHomogeneous(base, machine, hm::Tier::kDram, cfg);
+      sim::SimulateHomogeneous(base, roomy, hm::Tier::kDram, cfg);
 
   HomogeneousPredictor pred;
-  const sim::Region& region = workload.regions[base_region];
+  const sim::Region& region = workload.regions.front();
   pred.base_sizes_ = region.active_bytes.empty()
                          ? std::vector<std::uint64_t>()
                          : region.active_bytes;

@@ -26,13 +26,14 @@ class HomogeneousPredictor {
  public:
   HomogeneousPredictor() = default;
 
-  /// Offline step: run the base region (default: region 0) of `workload`
-  /// on PM only and DRAM only and record per-kernel times. This mirrors
+  /// Offline step: run the base region (region 0) of `workload` on PM
+  /// only and DRAM only and record per-kernel times. This mirrors
   /// "measuring the execution time of basic blocks on DRAM and PM"
-  /// (Section 5.3, offline step 2) and happens once per application.
+  /// (Section 5.3, offline step 2) and happens once per application. The
+  /// runs give PM room for every object, since tier capacity cannot change
+  /// a forced-tier time, so preparation never fails for lack of capacity.
   static HomogeneousPredictor Prepare(const sim::Workload& workload,
-                                      const sim::MachineSpec& machine,
-                                      std::size_t base_region = 0);
+                                      const sim::MachineSpec& machine);
 
   /// Predicted execution time of `task` for an input with the given
   /// object sizes, if all accesses were served by `tier`. The similarity

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,9 +44,7 @@ MerchandiserPolicy::MerchandiserPolicy(const CorrelationFunction* correlation,
       config_(config),
       pte_(config.pte, config.seed),
       thermostat_({}, config.seed + 1),
-      pebs_(config.pebs_period, config.seed + 2),
-      memo_enabled_(
-          common::EnvToggle("MERCH_POLICY_MEMO", config.decision_memo)) {
+      pebs_(config.pebs_period, config.seed + 2) {
   assert(correlation_ != nullptr && correlation_->trained());
 }
 
@@ -81,22 +78,6 @@ void MerchandiserPolicy::OnSimulationStart(sim::SimContext& ctx) {
     for (const sim::ObjectDecl& o : w.objects) base_sizes_.push_back(o.bytes);
   }
   object_target_pages_.assign(w.objects.size(), 0);
-  quartile_pages_.assign(w.objects.size() * 4, -1.0);
-  object_base_total_valid_ = false;
-  candidate_memo_region_ = nullptr;
-}
-
-double MerchandiserPolicy::QuartilePages(const trace::HeatProfile& heat,
-                                         std::size_t object,
-                                         int quartile_index,
-                                         std::uint64_t npages) {
-  const double q = kCurveQuartiles[quartile_index];
-  if (!memo_enabled_) {
-    return static_cast<double>(heat.PagesForFraction(q, npages));
-  }
-  double& slot = quartile_pages_[object * 4 + quartile_index];
-  if (slot < 0) slot = static_cast<double>(heat.PagesForFraction(q, npages));
-  return slot;
 }
 
 void MerchandiserPolicy::OnInterval(sim::SimContext& ctx) {
@@ -169,39 +150,10 @@ void MerchandiserPolicy::OnInterval(sim::SimContext& ctx) {
   (void)w;
 }
 
-const std::vector<double>& MerchandiserPolicy::ObjectBaseTotals(
-    const sim::Workload& w) {
-  if (!memo_enabled_ || !object_base_total_valid_) {
-    object_base_total_.assign(w.objects.size(), 0.0);
-    for (const auto& [key, acc] : base_accesses_) {
-      object_base_total_[key.object] += acc;
-    }
-    object_base_total_valid_ = true;
-  }
-  return object_base_total_;
-}
-
 std::vector<MerchandiserPolicy::PlacementCandidate>
 MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
                                     const sim::Region& region, TaskId task,
                                     double* total_est) {
-  // The decision and ApplyPlacement both need this task's candidates for
-  // the same (region, alpha) state — memoize the first build. The memo is
-  // cleared whenever the region or the alpha version moves on.
-  if (memo_enabled_) {
-    if (candidate_memo_region_ == &region &&
-        candidate_memo_alpha_version_ == alpha_version_) {
-      const auto it = candidate_memo_.find(task);
-      if (it != candidate_memo_.end()) {
-        if (total_est != nullptr) *total_est = it->second.total_est;
-        return it->second.cands;
-      }
-    } else {
-      candidate_memo_.clear();
-      candidate_memo_region_ = &region;
-      candidate_memo_alpha_version_ = alpha_version_;
-    }
-  }
   MERCH_TRACE_SPAN(obs::Category::kCore, "core.estimate_accesses");
   const sim::Workload& w = ctx.workload();
   // Per-access DRAM benefit weight per (task, object): the knapsack item
@@ -240,7 +192,10 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
     }
   }
   // Per-object base-access totals, for shared-object cost shares.
-  const std::vector<double>& object_base_total = ObjectBaseTotals(w);
+  std::vector<double> object_base_total(w.objects.size(), 0.0);
+  for (const auto& [key, acc] : base_accesses_) {
+    object_base_total[key.object] += acc;
+  }
   std::vector<PlacementCandidate> cands;
   double total = 0;
   for (std::size_t obj = 0; obj < w.objects.size(); ++obj) {
@@ -280,9 +235,6 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
             [](const PlacementCandidate& a, const PlacementCandidate& b) {
               return a.est_accesses / a.pages > b.est_accesses / b.pages;
             });
-  if (memo_enabled_) {
-    candidate_memo_[task] = CandidateMemo{cands, total};
-  }
   if (total_est != nullptr) *total_est = total;
   return cands;
 }
@@ -324,8 +276,8 @@ void MerchandiserPolicy::OnRegionStart(sim::SimContext& ctx,
         const auto npages = static_cast<std::uint64_t>(c.pages);
         const double cost_ratio = c.pages > 0 ? c.pages_cost / c.pages : 1.0;
         for (int qi = 0; qi < 4; ++qi) {
-          const double pages_q = QuartilePages(
-              heat, c.object, qi, std::max<std::uint64_t>(1, npages));
+          const auto pages_q = static_cast<double>(heat.PagesForFraction(
+              kCurveQuartiles[qi], std::max<std::uint64_t>(1, npages)));
           in.pages_for_access_fraction.emplace_back(
               (cum_acc + kCurveQuartiles[qi] * c.est_accesses) / total_acc,
               cum_pages + pages_q * cost_ratio);
@@ -528,7 +480,6 @@ void MerchandiserPolicy::OnRegionEnd(sim::SimContext& ctx,
         est.SetBase(static_cast<double>(base_sizes_[key.object]), it->second);
       }
     }
-    ++alpha_version_;
     return;
   }
   // Runtime alpha refinement from PEBS measurements of this instance
@@ -537,19 +488,14 @@ void MerchandiserPolicy::OnRegionEnd(sim::SimContext& ctx,
   const std::vector<std::uint64_t>& sizes =
       w.regions[region].active_bytes.empty() ? base_sizes_
                                              : w.regions[region].active_bytes;
-  bool refined = false;
   for (const sim::TaskStats& ts : stats.tasks) {
     for (std::size_t obj = 0; obj < ts.object_mm_accesses.size(); ++obj) {
       const auto it = alpha_.find(TaskObjectKey{ts.task, obj});
       if (it == alpha_.end() || !it->second.refines_at_runtime()) continue;
       const double measured = pebs_.Estimate(ts.object_mm_accesses[obj]);
       it->second.Refine(static_cast<double>(sizes[obj]), measured);
-      refined = true;
     }
   }
-  // Refinement changes Eq. 1 estimates — invalidate everything derived
-  // from them.
-  if (refined) ++alpha_version_;
 }
 
 double MerchandiserPolicy::AverageAlpha() const {

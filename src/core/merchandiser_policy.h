@@ -47,15 +47,6 @@ struct MerchandiserConfig {
   /// evaluated by bench/ablation_greedy (helpful for single-sweep streams,
   /// at the cost of burstier migration traffic).
   bool proactive_placement = true;
-  /// Decision-path memoization (perf only; results are bit-identical with
-  /// it on or off — every cached value is a pure function of unchanged
-  /// inputs): per-region candidate/Eq.1 memo shared between the decision
-  /// and ApplyPlacement, simulation-lifetime quartile page-curve cache
-  /// (heat profiles and extents are static), and cross-region reuse keyed
-  /// on input sizes + an alpha version bumped whenever refinement changes
-  /// any estimator. Escape hatch: MERCH_POLICY_MEMO=0 (read once at
-  /// construction) disables all of it.
-  bool decision_memo = true;
   /// Optional shared whole-run greedy memo (see GreedyResultCache). When
   /// set, identical Algorithm 1 inputs replay the cached result instead of
   /// re-running — sweeps over ratio grids warm-start from each other. Not
@@ -139,16 +130,7 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
   /// instance's input sizes. Also used to build the greedy page-cost curve.
   std::vector<PlacementCandidate> BuildCandidates(
       sim::SimContext& ctx, const sim::Region& region, TaskId task,
-      double* total_est) ;
-
-  /// heat.PagesForFraction(kCurveQuartiles[qi]) for the object's full
-  /// extent, through the lifetime quartile cache when memoization is on.
-  double QuartilePages(const trace::HeatProfile& heat, std::size_t object,
-                       int quartile_index, std::uint64_t npages);
-
-  /// Per-object base-access totals (cached: base_accesses_ is frozen once
-  /// the base instance ends, before any caller runs).
-  const std::vector<double>& ObjectBaseTotals(const sim::Workload& w);
+      double* total_est);
 
   /// Bulk placement toward the greedy targets at instance start.
   void ApplyPlacement(sim::SimContext& ctx, const sim::Region& region,
@@ -177,29 +159,6 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
 
   std::vector<InstanceDecision> decisions_;
   std::uint64_t interval_counter_ = 0;
-
-  // --- Decision-path memoization (bit-identical; MERCH_POLICY_MEMO). ---
-  /// Resolved once at construction from config_.decision_memo and the
-  /// MERCH_POLICY_MEMO environment toggle.
-  bool memo_enabled_ = true;
-  /// Bumped whenever alpha refinement (or base binding) changes any
-  /// estimator — invalidates everything derived from Eq. 1.
-  std::uint64_t alpha_version_ = 0;
-  /// Per-object base-access totals (static once the base instance ends).
-  std::vector<double> object_base_total_;
-  bool object_base_total_valid_ = false;
-  /// Lifetime cache of heat.PagesForFraction at the four curve quartiles
-  /// per object (heat profiles and extents never change); < 0 = unfilled.
-  std::vector<double> quartile_pages_;
-  /// Candidate/Eq.1 memo: one entry per task, valid for a single
-  /// (region, sizes, alpha_version) combination recorded alongside.
-  struct CandidateMemo {
-    std::vector<PlacementCandidate> cands;
-    double total_est = 0;
-  };
-  std::map<TaskId, CandidateMemo> candidate_memo_;
-  const sim::Region* candidate_memo_region_ = nullptr;
-  std::uint64_t candidate_memo_alpha_version_ = 0;
 };
 
 }  // namespace merch::core

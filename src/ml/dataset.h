@@ -30,9 +30,6 @@ class Dataset {
   }
   double target(std::size_t i) const { return y_[i]; }
   std::span<const double> targets() const { return y_; }
-  /// The row-major feature block (size() * num_features() doubles) — the
-  /// layout PredictBatch consumes directly.
-  std::span<const double> raw() const { return X_; }
 
   /// Random train/test split (paper uses 70/30, Section 7.3).
   std::pair<Dataset, Dataset> Split(double train_fraction, Rng& rng) const;

@@ -1,17 +1,15 @@
-// Flattened structure-of-arrays forest for batched tree inference.
+// Flattened structure-of-arrays forest and its single-feature
+// specialization.
 //
 // The tree ensembles behind the correlation function (GBR: 400 stages,
-// RFR: 20 trees) are the decision path's inner loop: every Eq. 2
-// evaluation walks every tree. The per-tree representation
-// (std::vector<DecisionTreeRegressor>, each with its own AoS node vector,
-// reached through a virtual call) costs an indirection per tree and
-// scatters hot node data across allocations. This module compiles an
-// ensemble into contiguous per-field arrays (feature index / threshold /
-// child offsets / leaf value) shared by all trees, and evaluates many
-// feature rows per pass, tree-outer so each tree's nodes stay cache-hot
-// across the whole batch.
+// RFR: 20 trees) are compiled at the end of Fit into contiguous per-field
+// arrays (feature index / threshold / child offsets / leaf value) shared
+// by all trees. Full rows are predicted by the per-tree pointer walk
+// (Regressor::Predict); the flat arrays feed FlatForestPartial, which
+// specializes the ensemble on one task's fixed features so the decision
+// loop probes a collapsed function of the free feature.
 //
-// Bit-identity contract: for every row, PredictBatch computes
+// Bit-identity contract: the ensemble a FlatForest describes computes
 //
 //   y = base; for each tree (in order): y += tree_scale * leaf(tree, row);
 //   return divisor == 1.0 ? y : y / divisor
@@ -21,7 +19,7 @@
 // divisor) set per ensemble this reproduces the scalar GBR accumulation
 // (y = base_prediction; y += learning_rate * tree.Predict(x)) and the RFR
 // average (sum += tree.Predict(x); sum / num_trees) operation for
-// operation, so flattened predictions are bitwise equal to the pointer
+// operation, so specialized predictions are bitwise equal to the pointer
 // walk (tests/decision_equiv_test.cc).
 #pragma once
 
@@ -56,18 +54,6 @@ struct FlatForest {
   bool empty() const { return roots.empty(); }
 
   void Clear();
-
-  /// Evaluates every tree for each of the `n = out.size()` rows stored
-  /// row-major in `rows` (rows.size() == n * num_features). Rows are
-  /// walked four per tree in lock-step; each row keeps its own node chain
-  /// and accumulator, so the interleaving is pure instruction-level
-  /// parallelism and results are bitwise equal to the scalar ensemble walk
-  /// (see file comment).
-  void PredictBatch(std::span<const double> rows, std::size_t num_features,
-                    std::span<double> out) const;
-
-  /// Single-row convenience; same accumulation as PredictBatch.
-  double PredictOne(std::span<const double> x) const;
 };
 
 /// FlatForest specialized on a row with feature `var` left free (the
@@ -78,9 +64,10 @@ struct FlatForest {
 /// walk propagates interval-index ranges down each tree and accumulates
 /// every interval's value tree-outer — per interval that is base, then
 /// += tree_scale * leaf in tree order, then the divisor — i.e. the exact
-/// per-row operation sequence of PredictBatch, so Predict(x) is bitwise
-/// equal to a full forest evaluation with row[var] = x. Per-call cost is
-/// one binary search; no forest walk ever happens after construction.
+/// per-row operation sequence of the contract above, so Predict(x) is
+/// bitwise equal to a full forest evaluation with row[var] = x. Per-call
+/// cost is one binary search; no forest walk ever happens after
+/// construction.
 class FlatForestPartial final : public PartialModel {
  public:
   /// `var` < row.size(). Copies everything it needs; the forest and row

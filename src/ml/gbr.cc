@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "common/env.h"
 #include "common/stats.h"
 
 namespace merch::ml {
@@ -17,7 +16,6 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
   base_prediction_ = Mean(data.targets());
   std::vector<double> residuals(data.size());
   std::vector<double> current(data.size(), base_prediction_);
-  std::vector<double> stage_pred(data.size());
 
   const auto n_sub = std::max<std::size_t>(
       2, static_cast<std::size_t>(config_.subsample *
@@ -41,12 +39,8 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
     } else {
       tree.FitResiduals(data, residuals);
     }
-    // Batched stage update: one pass over the row block instead of a
-    // virtual Predict per row (tree.PredictBatch is the same per-row walk,
-    // so `current` evolves bitwise identically).
-    tree.PredictBatch(data.raw(), data.num_features(), stage_pred);
     for (std::size_t i = 0; i < data.size(); ++i) {
-      current[i] += config_.learning_rate * stage_pred[i];
+      current[i] += config_.learning_rate * tree.Predict(data.row(i));
     }
     stages_.push_back(std::move(tree));
   }
@@ -70,21 +64,9 @@ double GradientBoostedRegressor::Predict(std::span<const double> x) const {
   return y;
 }
 
-void GradientBoostedRegressor::PredictBatch(std::span<const double> rows,
-                                            std::size_t num_features,
-                                            std::span<double> out) const {
-  if (!common::EnvToggle("MERCH_FLAT_FOREST", true)) {
-    Regressor::PredictBatch(rows, num_features, out);  // per-row walk
-    return;
-  }
-  flat_.PredictBatch(rows, num_features, out);
-}
-
 std::unique_ptr<PartialModel> GradientBoostedRegressor::Specialize(
     std::span<const double> row, std::size_t var) const {
-  if (flat_.empty() || !common::EnvToggle("MERCH_FLAT_FOREST", true)) {
-    return nullptr;
-  }
+  if (flat_.empty()) return nullptr;
   return std::make_unique<FlatForestPartial>(&flat_, row, var);
 }
 

@@ -12,17 +12,9 @@
 
 namespace merch::ml {
 
-void Regressor::PredictBatch(std::span<const double> rows,
-                             std::size_t num_features,
-                             std::span<double> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = Predict(rows.subspan(i * num_features, num_features));
-  }
-}
-
 std::vector<double> Regressor::PredictAll(const Dataset& data) const {
   std::vector<double> out(data.size());
-  PredictBatch(data.raw(), data.num_features(), out);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = Predict(data.row(i));
   return out;
 }
 

@@ -31,14 +31,6 @@ class Regressor {
   virtual double Predict(std::span<const double> x) const = 0;
   virtual std::string name() const = 0;
 
-  /// Predicts `out.size()` feature rows stored row-major in `rows`
-  /// (rows.size() == out.size() * num_features). The default loops
-  /// Predict; tree ensembles override with a flattened single-pass walk
-  /// that is bitwise identical to the per-row path (ml/flat_forest.h).
-  virtual void PredictBatch(std::span<const double> rows,
-                            std::size_t num_features,
-                            std::span<double> out) const;
-
   /// Specialize the model on `row` with feature index `var` left free
   /// (see PartialModel). Returns nullptr when the model has no
   /// accelerated specialization — callers fall back to full Predict
@@ -51,7 +43,7 @@ class Regressor {
     return nullptr;
   }
 
-  /// Batched prediction over a dataset (routes through PredictBatch).
+  /// One Predict per dataset row.
   std::vector<double> PredictAll(const Dataset& data) const;
   /// R-squared on a dataset (paper's Table 3 metric).
   double Score(const Dataset& data) const;

@@ -136,14 +136,6 @@ double DecisionTreeRegressor::Predict(std::span<const double> x) const {
   }
 }
 
-void DecisionTreeRegressor::PredictBatch(std::span<const double> rows,
-                                         std::size_t num_features,
-                                         std::span<double> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = Predict(rows.subspan(i * num_features, num_features));
-  }
-}
-
 void DecisionTreeRegressor::AppendToForest(FlatForest* forest) const {
   const auto offset = static_cast<std::int32_t>(forest->num_nodes());
   forest->roots.push_back(offset);  // root is local node 0 (see Predict)

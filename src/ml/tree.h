@@ -31,10 +31,6 @@ class DecisionTreeRegressor final : public Regressor {
 
   void Fit(const Dataset& data) override;
   double Predict(std::span<const double> x) const override;
-  /// Per-row walk over the contiguous node vector; bitwise equal to
-  /// Predict on every row (no ensemble accumulation for a single tree).
-  void PredictBatch(std::span<const double> rows, std::size_t num_features,
-                    std::span<double> out) const override;
   std::string name() const override { return "DTR"; }
 
   /// Fit on externally supplied targets (gradient boosting fits trees to

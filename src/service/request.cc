@@ -4,12 +4,18 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "apps/registry.h"
 
 namespace merch::service {
 
 namespace {
+
+/// Ten times the paper's 281 training regions. Training time grows
+/// linearly with the budget, and each distinct budget keeps its own
+/// trained system alive in the service.
+constexpr std::size_t kMaxTrainRegions = 2810;
 
 std::string Lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -65,6 +71,8 @@ std::string CanonicalizeRequest(PlacementRequest& req) {
     req.train_regions = 0;  // training budget is meaningless: one cache slot
   } else if (req.train_regions == 0) {
     return "train_regions must be > 0 for policy 'merch'";
+  } else if (req.train_regions > kMaxTrainRegions) {
+    return "train_regions must be <= " + std::to_string(kMaxTrainRegions);
   }
   return {};
 }

@@ -31,8 +31,9 @@ const std::vector<std::string>& PolicyNames();
 /// against the registry ("spgemm" -> "SpGEMM"), policies lower-case, and
 /// `train_regions` collapses to 0 for policies that never train, so
 /// e.g. {pm, train_regions=100} and {pm, train_regions=281} share one
-/// cache entry. Returns an empty string on success, else a message naming
-/// the bad field and the valid values.
+/// cache entry; merch's budget must lie in 1..2810. Returns an empty
+/// string on success, else a message naming the bad field and the valid
+/// values.
 std::string CanonicalizeRequest(PlacementRequest& req);
 
 /// Cache/dedup key of a canonicalized request. Doubles are printed with

@@ -505,8 +505,12 @@ TEST(PlacementLint, FlagsOpaqueDeadIndexMisregisteredAndMismatch) {
       EXPECT_EQ(f.object, "ghost");
       EXPECT_EQ(f.severity, analysis::Severity::kWarning);
     }
-    if (f.code == "index-misregistered") EXPECT_EQ(f.object, "idx");
-    if (f.code == "pattern-mismatch") EXPECT_EQ(f.object, "claimed");
+    if (f.code == "index-misregistered") {
+      EXPECT_EQ(f.object, "idx");
+    }
+    if (f.code == "pattern-mismatch") {
+      EXPECT_EQ(f.object, "claimed");
+    }
   }
 }
 

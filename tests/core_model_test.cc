@@ -2,6 +2,7 @@
 // homogeneous predictor (Section 5.2), and the user-facing API.
 #include <gtest/gtest.h>
 
+#include "apps/registry.h"
 #include "core/api.h"
 #include "core/correlation.h"
 #include "core/homogeneous.h"
@@ -171,6 +172,48 @@ TEST(HomogeneousPredictor, DramPredictionFaster) {
       HomogeneousPredictor::Prepare(w, sim::MachineSpec::Paper());
   EXPECT_LT(hp.Predict(0, hm::Tier::kDram, {1 * GiB}),
             hp.Predict(0, hm::Tier::kPm, {1 * GiB}));
+}
+
+// Prepare widens PM capacity for its bound runs; that is sound only if a
+// forced tier's kernel times do not depend on where pages sit or on their
+// size.
+TEST(HomogeneousPredictor, ForcedTierTimesIgnorePlacementAndPageSize) {
+  const apps::AppBundle bundle = apps::BuildApp("DMRG", 0.02, 0.05);
+  sim::Workload base = bundle.workload;
+  base.regions.resize(1);
+  const sim::MachineSpec paper = sim::MachineSpec::Paper();
+  sim::MachineSpec no_pm = paper;  // every object spills to DRAM
+  no_pm.hm[hm::Tier::kPm].capacity_bytes = 0;
+  sim::SimConfig big;
+  big.interval_seconds = 1e9;
+  sim::SimConfig small = big;
+  small.page_bytes = 64 * KiB;
+  for (const hm::Tier tier : {hm::Tier::kPm, hm::Tier::kDram}) {
+    const auto ref = sim::SimulateHomogeneous(base, paper, tier, big);
+    const auto spilled = sim::SimulateHomogeneous(base, no_pm, tier, big);
+    const auto paged = sim::SimulateHomogeneous(base, paper, tier, small);
+    ASSERT_FALSE(ref.regions.at(0).tasks.empty());
+    for (std::size_t t = 0; t < ref.regions[0].tasks.size(); ++t) {
+      const auto& want = ref.regions[0].tasks[t].kernel_seconds;
+      EXPECT_EQ(spilled.regions.at(0).tasks.at(t).kernel_seconds, want);
+      EXPECT_EQ(paged.regions.at(0).tasks.at(t).kernel_seconds, want);
+    }
+  }
+}
+
+TEST(HomogeneousPredictor, PreparesOnAMachineTooSmallForTheWorkload) {
+  const sim::Workload w = TwoRegionWorkload();
+  sim::MachineSpec tiny = sim::MachineSpec::Paper();
+  tiny.hm[hm::Tier::kDram].capacity_bytes = 1 * MiB;
+  tiny.hm[hm::Tier::kPm].capacity_bytes = 1 * MiB;
+  const HomogeneousPredictor roomy =
+      HomogeneousPredictor::Prepare(w, sim::MachineSpec::Paper());
+  const HomogeneousPredictor cramped = HomogeneousPredictor::Prepare(w, tiny);
+  ASSERT_TRUE(cramped.prepared());
+  for (const hm::Tier tier : {hm::Tier::kPm, hm::Tier::kDram}) {
+    EXPECT_EQ(cramped.Predict(0, tier, {1 * GiB}),
+              roomy.Predict(0, tier, {1 * GiB}));
+  }
 }
 
 TEST(HomogeneousPredictor, UnknownTaskGivesZero) {

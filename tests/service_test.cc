@@ -216,6 +216,14 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
+
+  // Training cost grows with the budget: 10x the paper's 281 regions is
+  // the ceiling.
+  PlacementRequest huge_train = TinyRequest("SpGEMM", "merch");
+  huge_train.train_regions = 2810;
+  EXPECT_EQ(CanonicalizeRequest(huge_train), "");
+  huge_train.train_regions = 2811;
+  EXPECT_EQ(CanonicalizeRequest(huge_train), "train_regions must be <= 2810");
 }
 
 // --- Request-file parsing ---
@@ -274,13 +282,16 @@ TEST(PlacementService, TinyScalesGiveAResultOrAnError) {
   const core::MerchandiserSystem system =
       core::MerchandiserSystem::Train(training);
   for (const std::string& app : apps::AppNames()) {
-    for (const char* policy : {"pm", "merch"}) {
-      for (const double scale : {1e-6, 1e-9}) {
+    for (const double scale : {1e-6, 1e-9}) {
+      bool ok[2] = {};
+      for (const int p : {0, 1}) {
+        const char* policy = p == 0 ? "pm" : "merch";
         PlacementRequest req{app, policy, scale, 0.05, 4, 42};
         ASSERT_EQ(CanonicalizeRequest(req), "");
         const PlacementResult r =
             PlacementService::RunRequest(req, &system, nullptr);
         SCOPED_TRACE(app + "/" + policy + " @ " + std::to_string(scale));
+        ok[p] = r.ok();
         if (r.ok()) {
           EXPECT_TRUE(std::isfinite(r.makespan_seconds));
           EXPECT_GT(r.makespan_seconds, 0);
@@ -294,6 +305,9 @@ TEST(PlacementService, TinyScalesGiveAResultOrAnError) {
           EXPECT_FALSE(r.ok());
         }
       }
+      // merch's offline homogeneous bound runs add no failure of their
+      // own: it gives a result exactly when pm does.
+      EXPECT_EQ(ok[1], ok[0]) << app << " @ " << scale;
     }
   }
 }

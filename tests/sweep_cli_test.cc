@@ -63,6 +63,22 @@ TEST(RunCli, UnfittableScaleExitsTwoWithMessage) {
   EXPECT_NE(r.output.find("does not fit"), std::string::npos) << r.output;
 }
 
+TEST(RunCli, OversizedTrainingBudgetExitsTwoBeforeTraining) {
+  // 1e8 regions would train for hours; the request domain rejects it
+  // before any training starts, also when "all" trains for its merch run.
+  for (const std::string policy : {"merch", "all"}) {
+    const CmdResult r = RunCtl("run --app SpGEMM --policy " + policy +
+                               " --train-regions 100000000 2>&1");
+    EXPECT_EQ(r.exit_code, 2) << policy << ": " << r.output;
+    EXPECT_NE(r.output.find("train_regions must be <= 2810"),
+              std::string::npos)
+        << policy << ": " << r.output;
+    EXPECT_EQ(r.output.find("training correlation function"),
+              std::string::npos)
+        << policy << ": " << r.output;
+  }
+}
+
 TEST(SweepCli, FusedAndUnfusedAnswersAreByteIdentical) {
   // All five apps x all five defined policies at two scales: fused groups
   // span the policy axis, each scale is its own group. "sparta" is

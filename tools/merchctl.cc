@@ -225,7 +225,8 @@ void Report(const Options& opt, const sim::SimResult& r, double pm_baseline) {
 }
 
 int RunCommand(const Options& opt) {
-  service::PlacementRequest proto{opt.app,  opt.policy == "all" ? "pm"
+  // "all" includes merch, so its training budget is validated as merch's.
+  service::PlacementRequest proto{opt.app,  opt.policy == "all" ? "merch"
                                                                 : opt.policy,
                                   opt.scale, opt.work, opt.train_regions,
                                   opt.seed};
