@@ -10,7 +10,9 @@
 //   2. The same sweep at a second (quarter) scale.
 //   3. A PlacementService batch (five apps x {pm, mm, mo}) submitted one
 //      request per pool job, and the same batch through SubmitFused (one
-//      pool job per shared-app group), each repeated like the rows.
+//      pool job per shared-app group), repeated like the rows with the two
+//      modes alternating. The app builds' base measurements are shared
+//      process-wide, so both modes run warm after the sweep above.
 //
 // The gated aggregate, five_app_sweep_memo_speedup, is
 // sum(timing_evals) / (sum(base_builds) + sum(partial_refreshes)) over the
@@ -311,15 +313,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sweep_builds), memo_speedup);
 
   std::printf("\n=== engine_speed: service batch (5 apps x pm/mm/mo) ===\n");
-  const bench::RepeatTiming per_request =
-      bench::MeasureRepeated(repeats, [&] {
-        return TimeServiceBatch(service_scale, service_work,
-                                service::BatchMode::kPerRequest);
-      });
-  const bench::RepeatTiming fused = bench::MeasureRepeated(repeats, [&] {
-    return TimeServiceBatch(service_scale, service_work,
-                            service::BatchMode::kFused);
-  });
+  // The two modes alternate (ABBA) so drift in the host hits both alike.
+  std::vector<double> per_request_walls, fused_walls;
+  for (int i = 0; i < repeats; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const bool fused_turn = (i + j) % 2 == 1;
+      (fused_turn ? fused_walls : per_request_walls)
+          .push_back(TimeServiceBatch(service_scale, service_work,
+                                      fused_turn
+                                          ? service::BatchMode::kFused
+                                          : service::BatchMode::kPerRequest));
+    }
+  }
+  const bench::RepeatTiming per_request = bench::Summarize(per_request_walls);
+  const bench::RepeatTiming fused = bench::Summarize(fused_walls);
   std::printf("per-request median %.2fs (IQR %.3fs), fused median %.2fs "
               "(IQR %.3fs) -> %.2fx fused\n",
               per_request.median_seconds, per_request.iqr_seconds,

@@ -147,12 +147,18 @@ bool HasErrors(const std::vector<Finding>& findings) {
 std::string FormatFinding(const std::string& file, const Finding& finding) {
   std::string out = file.empty() ? "<ir>" : file;
   if (finding.loc.valid()) {
-    out += ":" + std::to_string(finding.loc.line) + ":" +
-           std::to_string(finding.loc.col);
+    out += ':';
+    out += std::to_string(finding.loc.line);
+    out += ':';
+    out += std::to_string(finding.loc.col);
   }
   out += ": ";
   out += SeverityName(finding.severity);
-  return out + ": [" + finding.code + "] " + finding.message;
+  out += ": [";
+  out += finding.code;
+  out += "] ";
+  out += finding.message;
+  return out;
 }
 
 }  // namespace merch::analysis

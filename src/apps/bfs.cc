@@ -1,15 +1,18 @@
 #include "apps/bfs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <tuple>
 
 #include "apps/kernels/csr.h"
+#include "apps/measurement_memo.h"
 #include "analysis/passes.h"
 
 namespace merch::apps {
 
-AppBundle BuildBfs(const BfsConfig& cfg) {
+BfsMeasurement MeasureBfs(const BfsConfig& cfg) {
   Rng rng(cfg.seed);
 
   // Each traversal runs on an updated graph snapshot (a dynamic social
@@ -18,9 +21,8 @@ AppBundle BuildBfs(const BfsConfig& cfg) {
   // while the partition skew (the imbalance source) persists.
   const std::uint32_t part_size =
       (cfg.vertices + cfg.num_tasks - 1) / cfg.num_tasks;
-  std::vector<std::uint64_t> part_edges(cfg.num_tasks, 0);
-  std::vector<std::vector<std::uint64_t>> relaxed_per_region;
-  std::vector<std::vector<std::uint64_t>> part_edges_per_region;
+  BfsMeasurement m;
+  m.part_edges.assign(cfg.num_tasks, 0);
   for (int r = 0; r < cfg.traversals; ++r) {
     Rng snapshot_rng(cfg.seed + 17 * r);
     const CsrMatrix graph = GenerateKronMatrix(
@@ -31,7 +33,7 @@ AppBundle BuildBfs(const BfsConfig& cfg) {
       snapshot_edges[v / part_size] += graph.row_ptr[v + 1] - graph.row_ptr[v];
     }
     for (int t = 0; t < cfg.num_tasks; ++t) {
-      part_edges[t] = std::max(part_edges[t], snapshot_edges[t]);
+      m.part_edges[t] = std::max(m.part_edges[t], snapshot_edges[t]);
     }
     // Pick a source with nonzero degree.
     std::uint32_t source;
@@ -40,9 +42,16 @@ AppBundle BuildBfs(const BfsConfig& cfg) {
     } while (graph.row_ptr[source + 1] == graph.row_ptr[source]);
     std::vector<std::uint64_t> relaxed;
     BfsLevels(graph, source, cfg.num_tasks, &relaxed);
-    relaxed_per_region.push_back(std::move(relaxed));
-    part_edges_per_region.push_back(std::move(snapshot_edges));
+    m.relaxed_per_region.push_back(std::move(relaxed));
   }
+  return m;
+}
+
+AppBundle ScaleBfs(const BfsConfig& cfg, const BfsMeasurement& m) {
+  const std::vector<std::uint64_t>& part_edges = m.part_edges;
+  const std::vector<std::vector<std::uint64_t>>& relaxed_per_region =
+      m.relaxed_per_region;
+  assert(relaxed_per_region.size() == static_cast<std::size_t>(cfg.traversals));
 
   // Byte scaling to the paper footprint. Real bytes: adjacency shards
   // (8B offsets amortised + 4B targets ~ 8B/edge), visited/level arrays.
@@ -180,6 +189,20 @@ AppBundle BuildBfs(const BfsConfig& cfg) {
   }
   assert(w.Validate().empty());
   return bundle;
+}
+
+AppBundle BuildBfs(const BfsConfig& cfg) {
+  using Key = std::tuple<int, int, std::uint32_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t>;
+  // Never destroyed: a pool thread may still be building at exit.
+  static auto* memo = new MeasurementMemo<Key, BfsMeasurement>();
+  const Key key{cfg.num_tasks,
+                cfg.traversals,
+                cfg.vertices,
+                std::bit_cast<std::uint64_t>(cfg.avg_degree),
+                std::bit_cast<std::uint64_t>(cfg.skew),
+                cfg.seed};
+  return ScaleBfs(cfg, memo->Get(key, [&] { return MeasureBfs(cfg); }));
 }
 
 }  // namespace merch::apps

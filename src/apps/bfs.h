@@ -21,6 +21,24 @@ struct BfsConfig {
   std::uint64_t seed = 4321;
 };
 
+/// What the builder measures on the real graphs. It depends only on
+/// num_tasks, traversals, vertices, avg_degree, skew and seed, never on
+/// target_bytes or busiest_task_accesses.
+struct BfsMeasurement {
+  /// Edges each partition owns, the maximum over the graph snapshots.
+  std::vector<std::uint64_t> part_edges;
+  /// Edges each partition relaxed, per traversal (= region).
+  std::vector<std::vector<std::uint64_t>> relaxed_per_region;
+};
+
+/// Generates one graph snapshot per traversal and runs real BFS on it.
+BfsMeasurement MeasureBfs(const BfsConfig& config);
+
+/// Scales a measurement to bytes, accesses and lowered kernels.
+AppBundle ScaleBfs(const BfsConfig& config, const BfsMeasurement& measurement);
+
+/// ScaleBfs of MeasureBfs, the measurement computed once per process for
+/// each fixed input.
 AppBundle BuildBfs(const BfsConfig& config = {});
 
 }  // namespace merch::apps

@@ -1,25 +1,17 @@
 #include "apps/spgemm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <tuple>
 
 #include "apps/kernels/csr.h"
+#include "apps/measurement_memo.h"
 #include "analysis/passes.h"
 
 namespace merch::apps {
 namespace {
-
-struct BinStats {
-  std::uint64_t nnz_a = 0;
-  std::uint64_t flops = 0;
-  std::uint64_t nnz_c = 0;
-};
-
-struct RegionMeasurement {
-  std::vector<BinStats> bins;
-  std::uint64_t b_bytes = 0;  // CSR bytes of B
-};
 
 RegionMeasurement MeasureRegion(const SpGemmConfig& cfg, Rng& rng) {
   const CsrMatrix a = GenerateKronMatrix(cfg.rows, cfg.avg_degree, cfg.skew, rng);
@@ -45,13 +37,19 @@ RegionMeasurement MeasureRegion(const SpGemmConfig& cfg, Rng& rng) {
 
 }  // namespace
 
-AppBundle BuildSpGemm(const SpGemmConfig& cfg) {
+SpGemmMeasurement MeasureSpGemm(const SpGemmConfig& cfg) {
   Rng rng(cfg.seed);
-  std::vector<RegionMeasurement> regions;
+  SpGemmMeasurement regions;
   regions.reserve(cfg.iterations);
   for (int r = 0; r < cfg.iterations; ++r) {
     regions.push_back(MeasureRegion(cfg, rng));
   }
+  return regions;
+}
+
+AppBundle ScaleSpGemm(const SpGemmConfig& cfg,
+                      const SpGemmMeasurement& regions) {
+  assert(regions.size() == static_cast<std::size_t>(cfg.iterations));
 
   // Byte scaling: hit the paper's footprint with the max-instance sizes.
   double real_total = 0;
@@ -212,6 +210,20 @@ AppBundle BuildSpGemm(const SpGemmConfig& cfg) {
   }
   assert(w.Validate().empty());
   return bundle;
+}
+
+AppBundle BuildSpGemm(const SpGemmConfig& cfg) {
+  using Key = std::tuple<int, int, std::uint32_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t>;
+  // Never destroyed: a pool thread may still be building at exit.
+  static auto* memo = new MeasurementMemo<Key, SpGemmMeasurement>();
+  const Key key{cfg.num_tasks,
+                cfg.iterations,
+                cfg.rows,
+                std::bit_cast<std::uint64_t>(cfg.avg_degree),
+                std::bit_cast<std::uint64_t>(cfg.skew),
+                cfg.seed};
+  return ScaleSpGemm(cfg, memo->Get(key, [&] { return MeasureSpGemm(cfg); }));
 }
 
 }  // namespace merch::apps

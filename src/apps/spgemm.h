@@ -26,6 +26,33 @@ struct SpGemmConfig {
   std::uint64_t seed = 1234;
 };
 
+/// One row bin's measured work in one product.
+struct BinStats {
+  std::uint64_t nnz_a = 0;
+  std::uint64_t flops = 0;
+  std::uint64_t nnz_c = 0;
+};
+
+/// One product (= region) of the main loop, measured on a real matrix.
+struct RegionMeasurement {
+  std::vector<BinStats> bins;
+  std::uint64_t b_bytes = 0;  // CSR bytes of B
+};
+
+/// What the builder measures, one entry per iteration. It depends only on
+/// num_tasks, iterations, rows, avg_degree, skew and seed, never on
+/// target_bytes or busiest_task_accesses.
+using SpGemmMeasurement = std::vector<RegionMeasurement>;
+
+/// Generates one matrix per iteration and runs symbolic A*A on it.
+SpGemmMeasurement MeasureSpGemm(const SpGemmConfig& config);
+
+/// Scales a measurement to bytes, accesses and lowered kernels.
+AppBundle ScaleSpGemm(const SpGemmConfig& config,
+                      const SpGemmMeasurement& measurement);
+
+/// ScaleSpGemm of MeasureSpGemm, the measurement computed once per process
+/// for each fixed input.
 AppBundle BuildSpGemm(const SpGemmConfig& config = {});
 
 }  // namespace merch::apps

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace merch {
@@ -145,29 +146,42 @@ std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent)
-    : n_(n), exponent_(exponent), cdf_(n) {
-  assert(n > 0);
+    : n_(n), exponent_(exponent), cdf_(n), guide_(n + 1) {
+  assert(n > 0 && n <= std::numeric_limits<std::uint32_t>::max());
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
     cdf_[k] = total;
   }
   for (auto& c : cdf_) c /= total;
+  // guide_[j]: the smallest k with cdf_[k] * n >= j (n - 1 if none),
+  // compared in the same rounded product Rank computes for u.
+  const auto dn = static_cast<double>(n);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j <= n; ++j) {
+    while (k + 1 < n && cdf_[k] * dn < static_cast<double>(j)) ++k;
+    guide_[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
 std::size_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  // Binary search the CDF.
-  std::size_t lo = 0, hi = n_ - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  return Rank(rng.NextDouble());
+}
+
+std::size_t ZipfSampler::Rank(double u) const {
+  // Start at the cutpoint of u's bucket j = floor(u * n), then walk
+  // forward to the smallest k with cdf_[k] >= u. The start never passes
+  // that k, even where u * n rounds up: rounding is monotone, so
+  // cdf_[k] >= u implies cdf_[k] * n >= u * n >= j.
+  const double scaled = u * static_cast<double>(n_);
+  std::size_t k = 0;
+  if (scaled >= static_cast<double>(n_)) {
+    k = guide_[n_];
+  } else if (scaled > 0) {
+    k = guide_[static_cast<std::size_t>(scaled)];
   }
-  return lo;
+  while (k + 1 < n_ && cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfSampler::Pmf(std::size_t k) const {

@@ -65,7 +65,12 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double exponent);
 
+  /// Rank(rng.NextDouble()).
   std::size_t Sample(Rng& rng) const;
+
+  /// The smallest rank k whose cumulative probability is >= u (n - 1 if
+  /// none): the inverse CDF.
+  std::size_t Rank(double u) const;
 
   /// Probability mass of rank k.
   double Pmf(std::size_t k) const;
@@ -77,6 +82,9 @@ class ZipfSampler {
   std::size_t n_;
   double exponent_;
   std::vector<double> cdf_;  // cumulative distribution over ranks
+  /// Cutpoint index (n + 1 entries): Rank(u) starts its search at
+  /// guide_[floor(u * n)].
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace merch

@@ -78,6 +78,17 @@ void MerchandiserPolicy::OnSimulationStart(sim::SimContext& ctx) {
     for (const sim::ObjectDecl& o : w.objects) base_sizes_.push_back(o.bytes);
   }
   object_target_pages_.assign(w.objects.size(), 0);
+  // Pages holding each quartile of an object's accesses (hottest first),
+  // for the page-cost curve: heat profiles and extents are fixed.
+  quartile_pages_.assign(4 * w.objects.size(), 0.0);
+  for (std::size_t obj = 0; obj < w.objects.size(); ++obj) {
+    const std::uint64_t npages = std::max<std::uint64_t>(
+        1, ctx.pages().extent(ctx.oracle().handle(obj)).num_pages);
+    for (int qi = 0; qi < 4; ++qi) {
+      quartile_pages_[4 * obj + qi] = static_cast<double>(
+          w.objects[obj].heat.PagesForFraction(kCurveQuartiles[qi], npages));
+    }
+  }
 }
 
 void MerchandiserPolicy::OnInterval(sim::SimContext& ctx) {
@@ -156,46 +167,7 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
                                     double* total_est) {
   MERCH_TRACE_SPAN(obs::Category::kCore, "core.estimate_accesses");
   const sim::Workload& w = ctx.workload();
-  // Per-access DRAM benefit weight per (task, object): the knapsack item
-  // *value* is the performance gained by serving the access from DRAM
-  // (paper Section 6), which is larger for latency-bound random accesses
-  // and for writes (PM's asymmetric write path) than for prefetched
-  // sequential reads. Derived from the static classification + read/write
-  // mix of the task's kernels.
-  std::map<std::size_t, double> benefit;
-  {
-    const hm::TierSpec& pm_spec = ctx.machine().hm[hm::Tier::kPm];
-    const hm::TierSpec& dram_spec = ctx.machine().hm[hm::Tier::kDram];
-    for (const sim::TaskProgram& tp : w.regions.front().tasks) {
-      if (tp.task != task) continue;
-      std::map<std::size_t, std::pair<double, double>> acc;  // (weight, n)
-      for (const sim::Kernel& k : tp.kernels) {
-        for (const trace::ObjectAccess& a : k.accesses) {
-          const trace::PatternTraits& traits = trace::TraitsOf(a.pattern);
-          auto lat = [&](const hm::TierSpec& spec) {
-            const double base = traits.sequential_latency ? spec.seq_latency_ns
-                                                          : spec.rand_latency_ns;
-            return base *
-                   (a.read_fraction +
-                    (1.0 - a.read_fraction) * spec.write_latency_factor) /
-                   traits.mlp;
-          };
-          const double gain = lat(pm_spec) - lat(dram_spec);
-          const auto n = static_cast<double>(a.program_accesses);
-          acc[a.object].first += gain * n;
-          acc[a.object].second += n;
-        }
-      }
-      for (const auto& [obj, wn] : acc) {
-        if (wn.second > 0) benefit[obj] = wn.first / wn.second;
-      }
-    }
-  }
-  // Per-object base-access totals, for shared-object cost shares.
-  std::vector<double> object_base_total(w.objects.size(), 0.0);
-  for (const auto& [key, acc] : base_accesses_) {
-    object_base_total[key.object] += acc;
-  }
+  assert(object_base_total_.size() == w.objects.size());  // base instance ran
   std::vector<PlacementCandidate> cands;
   double total = 0;
   for (std::size_t obj = 0; obj < w.objects.size(); ++obj) {
@@ -216,21 +188,19 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
     total += est;
     const double share = w.objects[obj].owner == task
                              ? 1.0
-                             : (object_base_total[obj] > 0
-                                    ? base_it->second / object_base_total[obj]
+                             : (object_base_total_[obj] > 0
+                                    ? base_it->second / object_base_total_[obj]
                                     : 1.0);
-    const auto bit = benefit.find(obj);
     cands.push_back(PlacementCandidate{
         obj, est, static_cast<double>(extent.num_pages),
-        share * static_cast<double>(extent.num_pages),
-        bit != benefit.end() ? bit->second : 1.0});
+        share * static_cast<double>(extent.num_pages)});
   }
-  // Budget is spent by access density (estimated accesses per page). The
-  // per-access benefit weight is recorded on each candidate for
-  // diagnostics; weighting the ranking by it was evaluated and found to
-  // underperform plain density under bandwidth contention (the gain
-  // estimate ignores that serving one stream barely moves a saturated
-  // tier's queueing factor).
+  // Budget is spent by access density (estimated accesses per page).
+  // Weighting the ranking by a per-access DRAM benefit (the PM-DRAM latency
+  // gain of each access's pattern and read/write mix, the knapsack value
+  // of Section 6) was evaluated and found to underperform plain density
+  // under bandwidth contention (the gain estimate ignores that serving one
+  // stream barely moves a saturated tier's queueing factor).
   std::sort(cands.begin(), cands.end(),
             [](const PlacementCandidate& a, const PlacementCandidate& b) {
               return a.est_accesses / a.pages > b.est_accesses / b.pages;
@@ -272,15 +242,11 @@ void MerchandiserPolicy::OnRegionStart(sim::SimContext& ctx,
     if (total_acc > 0) {
       double cum_acc = 0, cum_pages = 0;
       for (const PlacementCandidate& c : cands) {
-        const trace::HeatProfile& heat = w.objects[c.object].heat;
-        const auto npages = static_cast<std::uint64_t>(c.pages);
         const double cost_ratio = c.pages > 0 ? c.pages_cost / c.pages : 1.0;
         for (int qi = 0; qi < 4; ++qi) {
-          const auto pages_q = static_cast<double>(heat.PagesForFraction(
-              kCurveQuartiles[qi], std::max<std::uint64_t>(1, npages)));
           in.pages_for_access_fraction.emplace_back(
               (cum_acc + kCurveQuartiles[qi] * c.est_accesses) / total_acc,
-              cum_pages + pages_q * cost_ratio);
+              cum_pages + quartile_pages_[4 * c.object + qi] * cost_ratio);
         }
         cum_acc += c.est_accesses;
         cum_pages += c.pages_cost;
@@ -473,6 +439,11 @@ void MerchandiserPolicy::OnRegionEnd(sim::SimContext& ctx,
   const sim::Workload& w = ctx.workload();
   if (region == 0) {
     base_collected_ = true;
+    // Per-object base-access totals, for shared-object cost shares.
+    object_base_total_.assign(w.objects.size(), 0.0);
+    for (const auto& [key, acc] : base_accesses_) {
+      object_base_total_[key.object] += acc;
+    }
     // Bind base sizes/counts into the estimators.
     for (auto& [key, est] : alpha_) {
       const auto it = base_accesses_.find(key);

@@ -122,9 +122,6 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
     /// in proportion to its access share, so summing costs across tasks
     /// matches physical DRAM consumption.
     double pages_cost = 0;
-    /// Per-access DRAM benefit (ns gained per access) — the knapsack item
-    /// value; ranks candidates together with access density.
-    double benefit_per_access = 1.0;
   };
   /// Density-ordered candidates + Eq.1 access totals for `task` under the
   /// instance's input sizes. Also used to build the greedy page-cost curve.
@@ -150,6 +147,11 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
   std::map<TaskObjectKey, double> base_accesses_;
   std::vector<std::uint64_t> base_sizes_;
   bool base_collected_ = false;
+  /// Sum of base_accesses_ per object, fixed when the base instance ends.
+  std::vector<double> object_base_total_;
+  /// heat.PagesForFraction of each curve quartile of each object's extent,
+  /// four per object, fixed at simulation start.
+  std::vector<double> quartile_pages_;
 
   /// Page quota per task for the current instance (Algorithm 1 output).
   std::map<TaskId, std::uint64_t> quota_pages_;

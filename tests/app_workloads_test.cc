@@ -3,10 +3,14 @@
 // the presence/absence of application-inherent load imbalance.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
+#include <thread>
 
+#include "apps/bfs.h"
 #include "apps/registry.h"
+#include "apps/spgemm.h"
 #include "core/pattern_classifier.h"
 
 namespace merch::apps {
@@ -204,6 +208,116 @@ TEST(Apps, LifetimePriorityOnlyForWarpx) {
   const auto& warpx = Bundle("WarpX");
   EXPECT_EQ(warpx.lifetime_priority.size(), warpx.workload.regions.size());
   EXPECT_TRUE(Bundle("BFS").lifetime_priority.empty());
+}
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Field-by-field equality of two bundles, doubles compared by their bits.
+void ExpectSameBundle(const AppBundle& a, const AppBundle& b) {
+  const sim::Workload& x = a.workload;
+  const sim::Workload& y = b.workload;
+  EXPECT_EQ(x.name, y.name);
+  ASSERT_EQ(x.objects.size(), y.objects.size());
+  for (std::size_t i = 0; i < x.objects.size(); ++i) {
+    EXPECT_EQ(x.objects[i].name, y.objects[i].name);
+    EXPECT_EQ(x.objects[i].bytes, y.objects[i].bytes) << x.objects[i].name;
+    EXPECT_EQ(x.objects[i].owner, y.objects[i].owner);
+    EXPECT_EQ(x.objects[i].heat.kind(), y.objects[i].heat.kind());
+    EXPECT_EQ(Bits(x.objects[i].heat.exponent()),
+              Bits(y.objects[i].heat.exponent()));
+    EXPECT_EQ(Bits(x.objects[i].reuse_passes), Bits(y.objects[i].reuse_passes));
+  }
+  ASSERT_EQ(x.regions.size(), y.regions.size());
+  for (std::size_t r = 0; r < x.regions.size(); ++r) {
+    const sim::Region& rx = x.regions[r];
+    const sim::Region& ry = y.regions[r];
+    EXPECT_EQ(rx.name, ry.name);
+    EXPECT_EQ(rx.active_bytes, ry.active_bytes) << rx.name;
+    ASSERT_EQ(rx.tasks.size(), ry.tasks.size());
+    for (std::size_t t = 0; t < rx.tasks.size(); ++t) {
+      EXPECT_EQ(rx.tasks[t].task, ry.tasks[t].task);
+      const auto& kx = rx.tasks[t].kernels;
+      const auto& ky = ry.tasks[t].kernels;
+      ASSERT_EQ(kx.size(), ky.size());
+      for (std::size_t k = 0; k < kx.size(); ++k) {
+        EXPECT_EQ(kx[k].name, ky[k].name);
+        EXPECT_EQ(kx[k].instructions, ky[k].instructions);
+        EXPECT_EQ(Bits(kx[k].branch_fraction), Bits(ky[k].branch_fraction));
+        EXPECT_EQ(Bits(kx[k].vector_fraction), Bits(ky[k].vector_fraction));
+        ASSERT_EQ(kx[k].accesses.size(), ky[k].accesses.size());
+        for (std::size_t i = 0; i < kx[k].accesses.size(); ++i) {
+          const trace::ObjectAccess& ax = kx[k].accesses[i];
+          const trace::ObjectAccess& ay = ky[k].accesses[i];
+          EXPECT_EQ(ax.object, ay.object);
+          EXPECT_EQ(ax.pattern, ay.pattern);
+          EXPECT_EQ(ax.program_accesses, ay.program_accesses);
+          EXPECT_EQ(ax.element_bytes, ay.element_bytes);
+          EXPECT_EQ(ax.stride_elements, ay.stride_elements);
+          EXPECT_EQ(Bits(ax.read_fraction), Bits(ay.read_fraction));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(a.task_irs.size(), b.task_irs.size());
+  for (std::size_t t = 0; t < a.task_irs.size(); ++t) {
+    ASSERT_EQ(a.task_irs[t].loops.size(), b.task_irs[t].loops.size());
+    for (std::size_t l = 0; l < a.task_irs[t].loops.size(); ++l) {
+      EXPECT_EQ(a.task_irs[t].loops[l].trip_count,
+                b.task_irs[t].loops[l].trip_count);
+    }
+  }
+  EXPECT_EQ(a.sparta_priority, b.sparta_priority);
+}
+
+/// BuildApp shares each app's base measurement across the process. Builds
+/// from four threads at once, then serial ones, must equal builds scaled
+/// from a measurement taken without the memo.
+TEST(AppsMemo, SharedMeasurementGivesTheUnsharedBuild) {
+  const std::vector<double> scales = {1.0, 0.5, 1e-3};
+  const BfsMeasurement bfs = MeasureBfs(BfsConfig{});
+  const SpGemmMeasurement spgemm = MeasureSpGemm(SpGemmConfig{});
+  std::map<std::pair<std::string, double>, AppBundle> want;
+  for (const double s : scales) {
+    BfsConfig b;
+    b.target_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(b.target_bytes) * s);
+    b.busiest_task_accesses *= s;
+    want.emplace(std::make_pair("BFS", s), ScaleBfs(b, bfs));
+    SpGemmConfig g;
+    g.target_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(g.target_bytes) * s);
+    g.busiest_task_accesses *= s;
+    want.emplace(std::make_pair("SpGEMM", s), ScaleSpGemm(g, spgemm));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::map<std::pair<std::string, double>, AppBundle>> got(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // Alternate the app order so both memo entries see concurrent
+      // first callers.
+      for (int j = 0; j < 2; ++j) {
+        const std::string app = (i + j) % 2 == 0 ? "BFS" : "SpGEMM";
+        for (const double s : scales) {
+          got[i].emplace(std::make_pair(app, s), BuildApp(app, s, s));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    for (const auto& [key, bundle] : want) {
+      SCOPED_TRACE(key.first + " scale " + std::to_string(key.second) +
+                   " thread " + std::to_string(i));
+      ExpectSameBundle(got[i].at(key), bundle);
+    }
+  }
+  for (const auto& [key, bundle] : want) {
+    SCOPED_TRACE(key.first + " scale " + std::to_string(key.second));
+    ExpectSameBundle(BuildApp(key.first, key.second, key.second), bundle);
+  }
 }
 
 TEST(Apps, UnknownNameThrows) {

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
+#include "apps/kernels/csr.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -139,6 +142,134 @@ TEST(Zipf, SampleFrequencyMatchesPmf) {
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.Pmf(k), 0.02)
         << "rank " << k;
+  }
+}
+
+/// The sampler as it was before the guide table: the same CDF, searched
+/// by bisection for the smallest rank k with cdf[k] >= u (n - 1 if none).
+/// The production sampler must return the same rank for every u.
+class BisectionZipf {
+ public:
+  BisectionZipf(std::size_t n, double exponent) : cdf_(n) {
+    double total = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+      cdf_[k] = total;
+    }
+    for (auto& c : cdf_) c /= total;
+  }
+
+  std::size_t Rank(double u) const {
+    std::size_t lo = 0, hi = cdf_.size() - 1;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (cdf_[mid] < u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  const std::vector<double>& cdf() const { return cdf_; }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+TEST(Zipf, GuideTableMatchesBisectionForEveryU) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{10},
+                              std::size_t{50}, std::size_t{65536}}) {
+    // Exponent 0 is uniform: its CDF entries land exactly on the guide
+    // table's cutpoints j / n.
+    for (const double exponent : {0.0, 0.5, 0.85, 0.9, 1.2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " exponent=" + std::to_string(exponent));
+      const ZipfSampler zipf(n, exponent);
+      const BisectionZipf ref(n, exponent);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double pmf = k == 0 ? ref.cdf()[0]
+                                  : ref.cdf()[k] - ref.cdf()[k - 1];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(zipf.Pmf(k)),
+                  std::bit_cast<std::uint64_t>(pmf))
+            << "rank " << k;
+      }
+      std::size_t mismatches = 0;
+      auto check = [&](double u) {
+        if (zipf.Rank(u) != ref.Rank(u)) ++mismatches;
+      };
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+      for (const double odd : {-1.0, 1.0, 2.0, 1e300,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+        check(odd);
+      }
+      for (const double c : ref.cdf()) {
+        check(c);
+        check(std::nextafter(c, 0.0));
+        check(std::nextafter(c, 2.0));
+      }
+      // Bucket boundaries of the guide table, where u * n rounds.
+      for (std::size_t j = 0; j <= n; ++j) {
+        const double b = static_cast<double>(j) / static_cast<double>(n);
+        check(std::nextafter(b, 0.0));
+        if (b < 1.0) check(b);
+        if (b < 1.0) check(std::nextafter(b, 2.0));
+      }
+      Rng rng(1000 + n);
+      for (int i = 0; i < 1000000; ++i) check(rng.NextDouble());
+      EXPECT_EQ(mismatches, 0u);
+
+      // Sample() is Rank() of one NextDouble() draw.
+      Rng a(7), b(7);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(zipf.Sample(a), ref.Rank(b.NextDouble()));
+      }
+    }
+  }
+}
+
+/// FNV-1a over the CSR arrays, doubles by their bits.
+std::uint64_t CsrDigest(const apps::CsrMatrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(m.rows);
+  mix(m.cols);
+  for (const std::uint64_t p : m.row_ptr) mix(p);
+  for (const std::uint32_t c : m.col_idx) mix(c);
+  for (const double v : m.values) mix(std::bit_cast<std::uint64_t>(v));
+  return h;
+}
+
+/// Generated matrices must keep every bit. The digests were recorded with
+/// the bisection sampler and std::sort on every row. The first matrix is
+/// the BFS builder's first base graph; the others take the row sort
+/// through one and three radix passes.
+TEST(Zipf, KronMatrixDigestUnchanged) {
+  struct Case {
+    std::uint32_t rows;
+    double avg_degree;
+    std::uint64_t seed;
+    std::uint64_t nnz;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1u << 16, 30.0, 4321, 1937630, 3964711258015597852ull},
+      {200, 8.0, 7, 1588, 13933790810589499376ull},
+      {70000, 8.0, 7, 560099, 16191896363351295883ull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const apps::CsrMatrix m =
+        apps::GenerateKronMatrix(c.rows, c.avg_degree, 0.9, rng);
+    EXPECT_EQ(m.nnz(), c.nnz) << c.rows << " rows";
+    EXPECT_EQ(CsrDigest(m), c.digest) << c.rows << " rows";
   }
 }
 

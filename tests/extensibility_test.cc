@@ -26,7 +26,8 @@ sim::Workload SmallWorkload() {
       sim::ObjectDecl{.name = "b", .bytes = 4 * GiB, .owner = 1});
   for (int r = 0; r < 3; ++r) {
     sim::Region region;
-    region.name = "r" + std::to_string(r);
+    region.name = "r";
+    region.name += std::to_string(r);
     for (int t = 0; t < 2; ++t) {
       sim::Kernel k;
       k.name = "k";
